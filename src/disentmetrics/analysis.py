@@ -13,12 +13,9 @@ from .core import (
     RepresentationDataset,
     _jsonify,
 )
-from .estimators import BinningSpec, informativeness_from_mi
+from .estimators import BinningSpec
 from . import metrics as metrics_mod
 from . import synth
-
-DATASET_METRICS = ("dci", "sap", "mig", "3charm")
-MATRIX_METRICS = ("dci", "mig", "3charm")
 
 
 def _average_ranks(x):
@@ -100,7 +97,7 @@ def correlate_metrics(population, metrics=None, config=metrics_mod.InterventionC
     """
     if len(population) < 5:
         raise ValueError("need at least 5 representations")
-    selection = list(metrics) if metrics is not None else list(DATASET_METRICS)
+    selection = list(metrics) if metrics is not None else list(metrics_mod.DATASET_METRICS)
     labels = [_rep_label(rep, i) for i, rep in enumerate(population)]
     columns = []
     for rep in population:
@@ -157,38 +154,27 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _score_one(rep, metric, binning):
-    if isinstance(rep, InformativenessMatrix):
-        if metric == "mig":
-            return metrics_mod.mig_score(rep).score
-        if metric == "3charm":
-            return metrics_mod.three_charm_score(rep).score
-        if metric == "dci":
-            return metrics_mod.dci_score(rep.values).score
-        raise NotComputableError(f"metric {metric!r} cannot be computed from a matrix")
-    reports = metrics_mod.evaluate_all(rep, metrics=[metric], binning=binning)
-    report = reports[0]
-    if report.skipped:
-        raise NotComputableError(f"metric {metric!r}: {report.skip_reason}")
-    return report.score
-
-
 def compare(rep_a, rep_b, metrics=None, labels=("a", "b"), binning=BinningSpec()):
     """Score two representations under each metric and flag every metric
     pair that prefers opposite representations. Exactly equal scores yield
-    no preference."""
-    rep_a = _resolve_representation(rep_a)
-    rep_b = _resolve_representation(rep_b)
+    no preference. Two matrices default to the matrix metrics, any other
+    pair to the dataset metrics."""
+    reps = [_resolve_representation(rep_a), _resolve_representation(rep_b)]
     if metrics is None:
-        both_matrices = isinstance(rep_a, InformativenessMatrix) and isinstance(rep_b, InformativenessMatrix)
-        metrics = list(MATRIX_METRICS if both_matrices else DATASET_METRICS)
-    scores = {}
-    preferred = {}
-    for name in metrics:
-        sa = _score_one(rep_a, name, binning)
-        sb = _score_one(rep_b, name, binning)
-        scores[name] = (sa, sb)
-        preferred[name] = labels[0] if sa > sb else labels[1] if sb > sa else None
+        both_matrices = all(isinstance(rep, InformativenessMatrix) for rep in reps)
+        metrics = list(metrics_mod.MATRIX_METRICS if both_matrices else metrics_mod.DATASET_METRICS)
+    columns = []
+    for rep in reps:
+        reports = metrics_mod.evaluate_all(rep, metrics=metrics, binning=binning)
+        for r in reports:
+            if r.skipped:
+                # name the metric once, whether or not the reason already does
+                named = repr(r.metric) in r.skip_reason
+                raise NotComputableError(r.skip_reason if named else f"metric {r.metric!r}: {r.skip_reason}")
+        columns.append([r.score for r in reports])
+    scores = dict(zip(metrics, zip(*columns)))
+    preferred = {name: labels[0] if sa > sb else labels[1] if sb > sa else None
+                 for name, (sa, sb) in scores.items()}
     disagreements = [
         (m1, m2)
         for m1, m2 in combinations(metrics, 2)

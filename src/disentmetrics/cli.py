@@ -90,23 +90,22 @@ def cmd_eval(args):
     if len(inputs) != 1:
         raise ValueError("exactly one of --dataset, --oracle, or --matrix is required")
     if args.matrix:
-        reports = metrics.evaluate_matrix(load_matrix(args.matrix), metrics=selection)
+        source = load_matrix(args.matrix)
+    elif args.dataset:
+        source = load_dataset(args.dataset, schema=args.schema)
     else:
-        if args.dataset:
-            source = load_dataset(args.dataset, schema=args.schema)
-        else:
-            if args.oracle not in synth.ORACLE_GENERATOR_NAMES:
-                known = ", ".join(synth.ORACLE_GENERATOR_NAMES)
-                raise ValueError(f"unknown oracle {args.oracle!r} (known: {known})")
-            spec = synth.GeneratorSpec(args.oracle, seed=args.seed, n=args.train_points)
-            source = synth.build(spec)[0]
-        reports = metrics.evaluate_all(
-            source,
-            metrics=selection,
-            config=_intervention(args),
-            binning=_binning(args),
-            importance_method=args.importance_method,
-        )
+        if args.oracle not in synth.ORACLE_GENERATOR_NAMES:
+            known = ", ".join(synth.ORACLE_GENERATOR_NAMES)
+            raise ValueError(f"unknown oracle {args.oracle!r} (known: {known})")
+        spec = synth.GeneratorSpec(args.oracle, seed=args.seed, n=args.train_points)
+        source = synth.build(spec)[0]
+    reports = metrics.evaluate_all(
+        source,
+        metrics=selection,
+        config=_intervention(args),
+        binning=_binning(args),
+        importance_method=args.importance_method,
+    )
     if selection is not None:
         for r in reports:
             if r.skipped:
@@ -219,10 +218,6 @@ def cmd_correlate(args):
     return 0
 
 
-def _load_representation(path, schema=None):
-    return load_matrix(path) if path.endswith(".matrix") else load_dataset(path, schema=schema)
-
-
 def cmd_compare(args):
     if args.builtin:
         rep_a, rep_b = synth.gen_comparison_matrices(args.builtin.replace("-", "_"))
@@ -230,9 +225,8 @@ def cmd_compare(args):
     else:
         if not args.inputs or len(args.inputs) != 2:
             raise ValueError("compare needs two input paths (or --builtin)")
-        rep_a = _load_representation(args.inputs[0])
-        rep_b = _load_representation(args.inputs[1])
-        labels = (args.inputs[0], args.inputs[1])
+        rep_a, rep_b = args.inputs
+        labels = (rep_a, rep_b)
     selection = _metric_selection(args.metrics)
     report = analysis.compare(rep_a, rep_b, metrics=selection, labels=labels, binning=_binning(args))
     _emit(report.to_json(), args.out)
@@ -249,7 +243,8 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate metrics on a dataset file, matrix file, or built-in oracle")
     p_eval.add_argument("--dataset", help="CSV dataset path")
     p_eval.add_argument("--oracle", help="built-in oracle name: " + ", ".join(synth.ORACLE_GENERATOR_NAMES))
-    p_eval.add_argument("--matrix", help=".matrix informativeness file (scores dci/mig/3charm directly)")
+    p_eval.add_argument("--matrix", help=".matrix informativeness file (scores "
+                        + "/".join(metrics.MATRIX_METRICS) + " directly)")
     p_eval.add_argument("--schema", help="sidecar schema file for the dataset")
     p_eval.add_argument("--metrics", help="comma-separated metric selection (default: all)")
     p_eval.add_argument("--train-points", type=int, default=10000)
@@ -284,7 +279,8 @@ def build_parser():
     p_corr.add_argument("--count", type=int, default=50)
     p_corr.add_argument("--factors", type=int, default=4)
     p_corr.add_argument("--n", type=int, default=2000, help="samples per representation")
-    p_corr.add_argument("--metrics", help="comma-separated metric selection (default: dci,sap,mig,3charm)")
+    p_corr.add_argument("--metrics", help="comma-separated metric selection (default: "
+                        + ",".join(metrics.DATASET_METRICS) + ")")
     p_corr.add_argument("--importance-method", choices=("forest", "lasso"), default="forest")
     p_corr.add_argument("--population-out", help="write the raw population JSON here")
     _common_flags(p_corr)

@@ -258,12 +258,12 @@ def load_dataset(path, schema=None):
         header = [h.strip() for h in header]
         rows = list(reader)
 
-    roles = {}
-    names = []
+    parsed = [_split_header_token(tok) for tok in header]
+    names = [name for name, _ in parsed]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(f"duplicate column {name!r} in header")
     if schema is not None:
-        for tok in header:
-            name, _ = _split_header_token(tok)
-            names.append(name)
         for name in names:
             if name not in schema:
                 raise SchemaError(f"column {name!r} missing from schema")
@@ -273,10 +273,7 @@ def load_dataset(path, schema=None):
         roles = {name: _parse_role(schema[name]) for name in names}
         order = [n for n in schema if n in names]
     else:
-        for tok in header:
-            name, role = _split_header_token(tok)
-            names.append(name)
-            roles[name] = role
+        roles = dict(parsed)
         order = names
 
     columns = {name: np.empty(len(rows), dtype=np.float64) for name in names}

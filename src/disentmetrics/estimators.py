@@ -388,6 +388,18 @@ def _lasso_importances(latents, target, config):
     return np.abs(w), r2
 
 
+def _importances_with_mass(latents, target, method, config):
+    """Per-latent importances for one factor, normalized to sum to 1 for
+    the forest (all zeros for a constant factor), plus the explained mass."""
+    if method == "forest":
+        raw, mass = _forest_importances(latents, target, config or ForestConfig())
+        total = raw.sum()
+        return (raw / total if total > 0 else raw), mass
+    if method == "lasso":
+        return _lasso_importances(latents, target, config or LassoConfig())
+    raise ValueError(f"unknown importance method {method!r}")
+
+
 def feature_importances(dataset, factor_index, method="forest", config=None):
     """Importance of each latent for predicting one factor.
 
@@ -395,34 +407,19 @@ def feature_importances(dataset, factor_index, method="forest", config=None):
     to 1 (all zeros for a constant factor); the lasso method returns raw
     |coefficients|. Both are deterministic given the config.
     """
-    raw, _ = _importances_with_mass(dataset, factor_index, method, config)
-    if method == "forest":
-        total = raw.sum()
-        return raw / total if total > 0 else raw
-    return raw
-
-
-def _importances_with_mass(dataset, factor_index, method="forest", config=None):
-    latents = dataset.latent_matrix()
     target = dataset.factors[factor_index].values.astype(np.float64)
-    if method == "forest":
-        return _forest_importances(latents, target, config or ForestConfig())
-    if method == "lasso":
-        return _lasso_importances(latents, target, config or LassoConfig())
-    raise ValueError(f"unknown importance method {method!r}")
+    return _importances_with_mass(dataset.latent_matrix(), target, method, config)[0]
 
 
 def importance_matrix_from_dataset(dataset, method="forest", config=None):
     """(N, K) importance matrix plus the per-factor explained-mass diagnostics."""
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
+    latents = dataset.latent_matrix()
     columns = []
     masses = []
-    for j in range(dataset.n_factors):
-        raw, mass = _importances_with_mass(dataset, j, method, config)
-        total = raw.sum()
-        if method == "forest" and total > 0:
-            raw = raw / total
+    for f in dataset.factors:
+        raw, mass = _importances_with_mass(latents, f.values.astype(np.float64), method, config)
         columns.append(raw)
         masses.append(mass)
     return ImportanceMatrix(np.column_stack(columns)), np.array(masses)

@@ -2,9 +2,11 @@
 
 BetaVAE and FactorVAE need an interventional oracle (they probe what
 happens when one generative factor is held fixed); DCI, SAP, MIG, and
-3CharM work from a paired dataset or directly from an informativeness /
-importance matrix. Every metric returns a :class:`MetricReport` whose
-intermediates expose the quantities the score is assembled from.
+3CharM work from a paired dataset, and DCI, MIG and 3CharM also directly
+from an informativeness / importance matrix. Every metric returns a
+:class:`MetricReport` whose intermediates expose the quantities the score
+is assembled from. :func:`evaluate_all` is the one entry point that runs a
+selection of them on a dataset, an oracle or an informativeness matrix.
 
 All argmax ties break deterministically toward the smallest index.
 """
@@ -22,11 +24,7 @@ from .core import (
     RepresentationOracle,
 )
 from . import estimators
-from .estimators import BinningSpec, ClassifierConfig, ForestConfig
-
-METRIC_NAMES = ("betavae", "factorvae", "dci", "sap", "mig", "3charm")
-ORACLE_METRICS = ("betavae", "factorvae")
-MATRIX_METRICS = ("dci", "mig", "3charm")
+from .estimators import BinningSpec, ClassifierConfig
 
 FACTORVAE_REFERENCE_DRAWS = 10000
 FACTORVAE_STD_FLOOR = 1e-8
@@ -272,6 +270,8 @@ def sap_score(dataset):
     """
     if dataset.n_latents < 2:
         raise NotComputableError("sap needs at least 2 latent dimensions")
+    if dataset.n < 2:
+        raise NotComputableError("sap needs at least 2 samples")
     n_latents, n_factors = dataset.n_latents, dataset.n_factors
     scores = np.zeros((n_latents, n_factors))
     for j, f in enumerate(dataset.factors):
@@ -381,105 +381,110 @@ def three_charm_score(matrix):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_all
+# Metric registry and evaluate_all
 # ---------------------------------------------------------------------------
 
 
-def evaluate_matrix(matrix, metrics=None):
-    """Score an informativeness matrix directly (no estimation): DCI, MIG,
-    and 3CharM. Other metrics come back skip-marked."""
-    if metrics is not None and len(metrics) == 0:
-        raise ValueError("no metrics selected")
-    selection = list(metrics) if metrics is not None else list(MATRIX_METRICS)
-    reports = []
-    for name in selection:
-        if name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
-        try:
-            if name == "mig":
-                reports.append(mig_score(matrix))
-            elif name == "3charm":
-                reports.append(three_charm_score(matrix))
-            elif name == "dci":
-                reports.append(dci_score(matrix.values))
-            else:
-                raise NotComputableError(f"metric {name!r} cannot be computed from a matrix")
-        except NotComputableError as exc:
-            reports.append(MetricReport(metric=name, score=None, skipped=True, skip_reason=str(exc)))
-    return reports
+class _Inputs:
+    """What one :func:`evaluate_all` call scores from. The dataset sampled
+    from an oracle and the MI matrix (the given matrix, or estimated from
+    the dataset) are each built on first use and at most once."""
+
+    def __init__(self, source, config, binning, importance_method):
+        self.source = source
+        self.config = config
+        self.binning = binning
+        self.importance_method = importance_method
+        self.matrix = source if isinstance(source, InformativenessMatrix) else None
+        self._dataset = source if isinstance(source, RepresentationDataset) else None
+        self._mi = self.matrix
+
+    def dataset(self):
+        if self._dataset is None:
+            seed = _spawn_seeds(self.config.seed, 1, domain=3)[0]
+            self._dataset = self.source.reseeded(seed).sample_dataset(self.config.train_points)
+        return self._dataset
+
+    def mi(self):
+        if self._mi is None:
+            self._mi = estimators.informativeness_from_mi(self.dataset(), self.binning)
+        return self._mi
+
+    def binned(self, report):
+        """Stamp the binning an estimated MI matrix used; a given matrix used none."""
+        if self.matrix is None:
+            report.config = {"bins": self.binning.bin_count, "strategy": self.binning.strategy}
+        return report
+
+
+def _dci(inputs):
+    if inputs.matrix is not None:
+        return dci_score(inputs.matrix.values)
+    return dci_from_dataset(inputs.dataset(), method=inputs.importance_method)
+
+
+# name -> (what a source must supply, scorer); registry order is report
+# order. A matrix supplies only "matrix" metrics, a dataset also "dataset"
+# ones, an oracle all three. Scorers look the metric functions up at call
+# time, so a wrapper installed on this module's attributes sees every call.
+METRICS = {
+    "betavae": ("oracle", lambda inputs: beta_vae_score(inputs.source, inputs.config)),
+    "factorvae": ("oracle", lambda inputs: factor_vae_score(inputs.source, inputs.config)),
+    "dci": ("matrix", _dci),
+    "sap": ("dataset", lambda inputs: sap_score(inputs.dataset())),
+    "mig": ("matrix", lambda inputs: inputs.binned(mig_score(inputs.mi()))),
+    "3charm": ("matrix", lambda inputs: inputs.binned(three_charm_score(inputs.mi()))),
+}
+METRIC_NAMES = tuple(METRICS)
+MATRIX_METRICS = tuple(name for name, (needs, _) in METRICS.items() if needs == "matrix")
+DATASET_METRICS = tuple(name for name, (needs, _) in METRICS.items() if needs != "oracle")
 
 
 def evaluate_all(source, metrics=None, config=InterventionConfig(),
                  binning=BinningSpec(), importance_method="forest"):
-    """Run the selected metrics on a dataset or oracle.
+    """Run the selected metrics on a dataset, an oracle or an
+    informativeness matrix.
 
     Metrics a given input cannot support come back as skip-marked reports
-    with an explicit reason rather than being dropped silently. Oracle
-    inputs additionally materialize a seeded dataset of ``train_points``
-    samples for the dataset-based metrics.
+    with an explicit reason rather than being dropped silently. An oracle
+    is sampled into a seeded dataset of ``train_points`` rows for the
+    dataset-based metrics. A matrix is scored as given (by default with
+    DCI, MIG and 3CharM); nothing is estimated from it, so its reports
+    carry no seed and no config.
     """
     if metrics is not None and len(metrics) == 0:
         raise ValueError("no metrics selected")
-    selection = list(metrics) if metrics is not None else list(METRIC_NAMES)
+    is_matrix = isinstance(source, InformativenessMatrix)
+    if is_matrix:
+        supplies = ("matrix",)
+    elif isinstance(source, RepresentationDataset):
+        supplies = ("matrix", "dataset")
+    elif isinstance(source, RepresentationOracle):
+        supplies = ("matrix", "dataset", "oracle")
+    else:
+        raise TypeError("source must be a RepresentationDataset, RepresentationOracle or InformativenessMatrix")
+    selection = list(metrics) if metrics is not None else list(MATRIX_METRICS if is_matrix else METRIC_NAMES)
     for name in selection:
-        if name not in METRIC_NAMES:
+        if name not in METRICS:
             raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
 
-    is_oracle = isinstance(source, RepresentationOracle)
-    if not is_oracle and not isinstance(source, RepresentationDataset):
-        raise TypeError("source must be a RepresentationDataset or RepresentationOracle")
-
-    dataset = None
-    dataset_seed = None
-    if any(m not in ORACLE_METRICS for m in selection):
-        if is_oracle:
-            dataset_seed = _spawn_seeds(config.seed, 1, domain=3)[0]
-            dataset = source.reseeded(dataset_seed).sample_dataset(config.train_points)
-        else:
-            dataset = source
-
-    mi_matrix = None
-
-    def mi(spec):
-        nonlocal mi_matrix
-        if mi_matrix is None:
-            mi_matrix = estimators.informativeness_from_mi(dataset, spec)
-        return mi_matrix
-
+    inputs = _Inputs(source, config, binning, importance_method)
+    seed = None if is_matrix else config.seed
     reports = []
     for name in selection:
+        needs, scorer = METRICS[name]
         try:
-            if name in ORACLE_METRICS:
-                if not is_oracle:
-                    reports.append(MetricReport(
-                        metric=name, score=None, skipped=True,
-                        skip_reason="requires interventional oracle",
-                        config=config.as_dict(), seed=config.seed,
-                    ))
-                    continue
-                fn = beta_vae_score if name == "betavae" else factor_vae_score
-                reports.append(fn(source, config))
-            elif name == "dci":
-                report = dci_from_dataset(dataset, method=importance_method)
-                report.seed = config.seed
-                reports.append(report)
-            elif name == "sap":
-                report = sap_score(dataset)
-                report.seed = config.seed
-                reports.append(report)
-            elif name == "mig":
-                report = mig_score(mi(binning))
-                report.seed = config.seed
-                report.config = {"bins": binning.bin_count, "strategy": binning.strategy}
-                reports.append(report)
-            else:  # 3charm
-                report = three_charm_score(mi(binning))
-                report.seed = config.seed
-                report.config = {"bins": binning.bin_count, "strategy": binning.strategy}
-                reports.append(report)
+            if needs not in supplies:
+                raise NotComputableError(
+                    f"metric {name!r} cannot be computed from a matrix" if is_matrix
+                    else "requires interventional oracle"
+                )
+            report = scorer(inputs)
+            report.seed = seed
         except NotComputableError as exc:
-            reports.append(MetricReport(
+            report = MetricReport(
                 metric=name, score=None, skipped=True, skip_reason=str(exc),
-                config=config.as_dict(), seed=config.seed,
-            ))
+                config={} if is_matrix else config.as_dict(), seed=seed,
+            )
+        reports.append(report)
     return reports

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disentmetrics import synth
+from disentmetrics import estimators, synth
 from disentmetrics.analysis import compare, correlate_metrics, spearman
 from disentmetrics.core import (
     FactorColumn,
@@ -154,3 +154,18 @@ def test_compare_datasets():
     assert report.preferred["mig"] == "clean"
     assert report.preferred["3charm"] == "clean"
     assert report.disagreements == []
+
+
+def test_compare_builds_mi_once_per_representation(monkeypatch):
+    calls = []
+    build = estimators.informativeness_from_mi
+
+    def counted(dataset, spec):
+        calls.append(dataset)
+        return build(dataset, spec)
+
+    monkeypatch.setattr(estimators, "informativeness_from_mi", counted)
+    d1 = synth.gen_disentangled(3, n=500, seed=1)
+    d2 = synth.gen_entangled_family(1.0, n_factors=3, n=500, seed=1)
+    compare(d1, d2, metrics=["mig", "3charm"])
+    assert len(calls) == 2

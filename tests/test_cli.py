@@ -183,6 +183,16 @@ def test_compare_matrix_files(tmp_path, capsys):
     assert payload["preferred"]["3charm"] == str(pa)
 
 
+def test_compare_matrix_files_unknown_metric(tmp_path, capsys):
+    a, b = synth.gen_comparison_matrices("dci_vs_3charm")
+    pa, pb = tmp_path / "a.matrix", tmp_path / "b.matrix"
+    save_matrix(a, str(pa))
+    save_matrix(b, str(pb))
+    code, _, err = run(["compare", str(pa), str(pb), "--metrics", "nope"], capsys)
+    assert code == 1
+    assert "unknown metric 'nope'" in err
+
+
 def test_compare_needs_two_inputs(capsys):
     code, _, err = run(["compare"], capsys)
     assert code == 1

@@ -1,0 +1,89 @@
+"""Golden CLI bytes: a fixed command set whose stdout and ``--out`` files
+must stay byte-identical across refactors of the evaluation path.
+
+Inputs are written by ``save_dataset``/``save_matrix`` from seeded
+generators into a temporary directory that becomes the working directory,
+so every path (and every ``compare`` label) is relative. To re-capture the
+expected files after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from disentmetrics import synth
+from disentmetrics.cli import main
+from disentmetrics.core import save_dataset, save_matrix
+
+GOLDEN = Path(__file__).parent / "golden"
+
+ORACLE_ARGS = ["--oracle", "identity", "--train-points", "300", "--eval-points", "100",
+               "--batch-size", "16", "--metrics", "factorvae,dci,sap,mig,3charm"]
+
+# name -> (argv, files the command writes besides stdout)
+COMMANDS = {
+    "eval_dataset": (["eval", "--dataset", "a.csv"], ()),
+    "eval_dataset_csv": (["eval", "--dataset", "a.csv", "--format", "csv"], ()),
+    "eval_dataset_table_lasso": (["eval", "--dataset", "a.csv", "--format", "table",
+                                  "--importance-method", "lasso"], ()),
+    "eval_matrix": (["eval", "--matrix", "a.matrix"], ()),
+    "eval_oracle": (["eval", *ORACLE_ARGS], ()),
+    "compare_csv": (["compare", "a.csv", "b.csv"], ()),
+    "compare_csv_metrics": (["compare", "a.csv", "b.csv", "--metrics", "3charm,sap,mig"], ()),
+    "compare_matrix": (["compare", "a.matrix", "b.matrix"], ()),
+    "compare_mixed": (["compare", "a.csv", "b.matrix", "--metrics", "mig,dci,3charm"], ()),
+    "compare_builtin": (["compare", "--builtin", "dci-vs-3charm"], ()),
+    "correlate": (["correlate", "--count", "5", "--n", "300", "--factors", "3", "--out", "corr.csv"],
+                  ("corr.csv", "corr.csv.population.json")),
+}
+
+
+def write_inputs(directory):
+    for name, level, seed in (("a.csv", 0.3, 1), ("b.csv", 0.7, 2)):
+        spec = synth.GeneratorSpec("entangled", {"level": level, "K": 3}, seed=seed, n=400)
+        save_dataset(synth.dataset_from_spec(spec)[0], os.path.join(directory, name))
+    matrix_a, matrix_b = synth.gen_comparison_matrices("mig_vs_3charm")
+    save_matrix(matrix_a, os.path.join(directory, "a.matrix"))
+    save_matrix(matrix_b, os.path.join(directory, "b.matrix"))
+
+
+def run_command(name):
+    """Run one command in the current directory; return {golden file name: bytes}."""
+    argv, written = COMMANDS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    outputs = {f"{name}.stdout": out.getvalue().encode("utf-8")}
+    for path in written:
+        outputs[f"{name}.{path}"] = Path(path).read_bytes()
+    return outputs
+
+
+@pytest.fixture()
+def inputs_dir(tmp_path, monkeypatch):
+    write_inputs(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name, inputs_dir):
+    for filename, data in run_command(name).items():
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        os.chdir(tmp)
+        for command in sorted(COMMANDS):
+            for filename, data in run_command(command).items():
+                (GOLDEN / filename).write_bytes(data)

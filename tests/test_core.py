@@ -80,6 +80,13 @@ def test_schema_bad_role(tmp_path):
         load_dataset(p, schema={"z_1": "factor:x", "c_1": "latent"})
 
 
+@pytest.mark.parametrize("schema", [None, {"z1": "factor:c", "c1": "latent"}])
+def test_duplicate_column_names_rejected(tmp_path, schema):
+    p = write(tmp_path / "d.csv", "z1:c,c1,c1\n1,4,5\n2,7,6\n3,8,9\n")
+    with pytest.raises(SchemaError, match="duplicate column 'c1'"):
+        load_dataset(p, schema=schema)
+
+
 def test_roundtrip_bit_identical(tmp_path):
     ds = synth.gen_sap_nonlinear(n=10000, seed=3)
     path = tmp_path / "d.csv"

@@ -354,6 +354,16 @@ def test_evaluate_all_marks_not_computable_with_reason():
     assert all("latent" in r.skip_reason for r in reports)
 
 
+def test_evaluate_all_one_row_dataset_skips_every_dataset_metric():
+    one_row = RepresentationDataset(
+        (FactorColumn("z1", np.array([0.5])),),
+        (LatentColumn("c1", np.array([0.1])), LatentColumn("c2", np.array([0.2]))),
+    )
+    reports = evaluate_all(one_row, metrics=["dci", "sap", "mig", "3charm"])
+    assert [r.metric for r in reports] == ["dci", "sap", "mig", "3charm"]
+    assert all(r.skipped and r.skip_reason for r in reports)
+
+
 # --- score range -------------------------------------------------------------------
 
 
