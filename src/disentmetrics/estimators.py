@@ -276,6 +276,14 @@ class ForestConfig:
     bag_fraction: float = 0.8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if not 0.0 < self.bag_fraction <= 1.0:
+            raise ValueError("bag_fraction must lie in (0, 1]")
+
 
 @dataclass(frozen=True)
 class LassoConfig:
@@ -288,70 +296,71 @@ def _sse(total, total_sq, count):
     return total_sq - total * total / count
 
 
-def _best_split(x_node, y_node, sse_node):
-    """Best variance-reduction split for one node; features scanned in
-    canonical order with strictly-greater gains winning, so permuting
-    columns permutes (not changes) the chosen feature."""
-    m = y_node.size
-    best_gain, best_feat, best_mask = 0.0, -1, None
-    total = y_node.sum()
-    total_sq = (y_node * y_node).sum()
-    for f in range(x_node.shape[1]):
-        x = x_node[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y_node[order]
-        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # left sizes
-        if boundary.size == 0:
-            continue
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
-        left = boundary
-        sse_l = _sse(cy[left - 1], cy2[left - 1], left)
-        sse_r = _sse(total - cy[left - 1], total_sq - cy2[left - 1], m - left)
-        gains = sse_node - sse_l - sse_r
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_feat = f
-            best_mask = x <= xs[left[k] - 1]
-    return best_gain, best_feat, best_mask
-
-
-def _tree_importance(x, y, rng, config, importance):
-    n = y.size
-    bag = max(1, int(round(config.bag_fraction * n)))
-    idx = rng.choice(n, size=bag, replace=False)
-    root_sse = _sse(y[idx].sum(), (y[idx] ** 2).sum(), bag)
-    stack = [(idx, 0)]
+def _grow_tree(x, y, order, max_depth, importance):
+    """Grow one exact variance-reduction tree depth-first, adding each
+    split's gain to ``importance[latent]``; ties go to the first latent.
+    ``x`` is the bag's (bag, N) latents and ``order`` their stable argsort
+    (N, bag). A node holds its rows in bag order and, per latent, in sorted
+    order; filtering a stable sort by a mark gives the stable sort of the
+    subset, so no node sorts again."""
+    n_latents = x.shape[1]
+    feats = np.arange(n_latents)
+    in_left = np.zeros(y.size, dtype=bool)
+    stack = [(np.arange(y.size), order, 0)]
     while stack:
-        rows, depth = stack.pop()
-        if depth >= config.max_depth or rows.size < 2:
+        rows, sorted_rows, depth = stack.pop()
+        m = rows.size
+        if depth >= max_depth or m < 2:
             continue
         y_node = y[rows]
-        sse_node = _sse(y_node.sum(), (y_node * y_node).sum(), rows.size)
+        total = y_node.sum()
+        total_sq = (y_node * y_node).sum()
+        sse_node = _sse(total, total_sq, m)
         if sse_node <= 0.0:
             continue
-        gain, feat, mask = _best_split(x[rows], y_node, sse_node)
-        if feat < 0 or gain <= 0.0:
+        ys = y[sorted_rows]
+        cy = np.cumsum(ys, axis=1)[:, :-1]
+        cy2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+        left = np.arange(1.0, m)  # left sizes
+        gains = sse_node - _sse(cy, cy2, left) - _sse(total - cy, total_sq - cy2, m - left)
+        xs = x[sorted_rows, feats[:, None]]
+        gains = np.where(xs[:, 1:] > xs[:, :-1], gains, -np.inf)  # thresholds between distinct values
+        best_gain, feat = 0.0, -1
+        for f, gain in enumerate(gains.max(axis=1).tolist()):
+            if gain > best_gain:
+                best_gain, feat = gain, f
+        if feat < 0:
             continue
-        importance[feat] += gain
-        stack.append((rows[mask], depth + 1))
-        stack.append((rows[~mask], depth + 1))
-    return max(root_sse, 0.0)
+        importance[feat] += best_gain
+        if depth + 1 >= max_depth:
+            continue
+        n_left = int(gains[feat].argmax()) + 1
+        in_left[sorted_rows[feat, :n_left]] = True
+        row_left = in_left[rows]
+        sorted_left = in_left[sorted_rows]
+        stack.append((rows[row_left], sorted_rows[sorted_left].reshape(n_latents, n_left), depth + 1))
+        stack.append((rows[~row_left], sorted_rows[~sorted_left].reshape(n_latents, m - n_left), depth + 1))
+        in_left[sorted_rows[feat, :n_left]] = False
 
 
-def _forest_importances(latents, target, config):
-    """Raw summed impurity decrease per latent, plus the fraction of the
-    (bagged) target variance those splits removed."""
-    importance = np.zeros(latents.shape[1])
-    total_root_sse = 0.0
+def _forest_importances(latents, targets, config):
+    """Raw summed impurity decrease per latent (one row per target), and
+    the fraction of each target's bagged variance it removed. Every target
+    shares the bag and presort of a tree: they depend on (seed, tree) only."""
+    n, n_latents = latents.shape
+    bag = max(1, int(round(config.bag_fraction * n)))
+    importance = np.zeros((len(targets), n_latents))
+    root_sse = [0.0] * len(targets)
     for t in range(config.n_trees):
-        # per-tree stream depends on (seed, tree index) only, never on columns
-        rng = np.random.default_rng([config.seed, t])
-        total_root_sse += _tree_importance(latents, target, rng, config, importance)
-    mass = float(importance.sum() / total_root_sse) if total_root_sse > 0 else 0.0
-    return importance, mass
+        idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
+        x = latents[idx]
+        order = np.argsort(x.T, axis=1, kind="stable")
+        for j, target in enumerate(targets):
+            y = target[idx]
+            root_sse[j] += max(_sse(y.sum(), (y ** 2).sum(), bag), 0.0)
+            _grow_tree(x, y, order, config.max_depth, importance[j])
+    masses = [float(imp.sum() / sse) if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
+    return importance, masses
 
 
 def _lasso_importances(latents, target, config):
@@ -388,15 +397,16 @@ def _lasso_importances(latents, target, config):
     return np.abs(w), r2
 
 
-def _importances_with_mass(latents, target, method, config):
-    """Per-latent importances for one factor, normalized to sum to 1 for
-    the forest (all zeros for a constant factor), plus the explained mass."""
+def _importances_with_mass(latents, targets, method, config):
+    """Per-latent importances for each target (one row per target),
+    normalized to sum to 1 for the forest (all zeros for a constant
+    target), plus each target's explained mass."""
     if method == "forest":
-        raw, mass = _forest_importances(latents, target, config or ForestConfig())
-        total = raw.sum()
-        return (raw / total if total > 0 else raw), mass
+        raw, masses = _forest_importances(latents, targets, config or ForestConfig())
+        return [r / r.sum() if r.sum() > 0 else r for r in raw], masses
     if method == "lasso":
-        return _lasso_importances(latents, target, config or LassoConfig())
+        fits = [_lasso_importances(latents, t, config or LassoConfig()) for t in targets]
+        return [w for w, _ in fits], [r2 for _, r2 in fits]
     raise ValueError(f"unknown importance method {method!r}")
 
 
@@ -408,18 +418,13 @@ def feature_importances(dataset, factor_index, method="forest", config=None):
     |coefficients|. Both are deterministic given the config.
     """
     target = dataset.factors[factor_index].values.astype(np.float64)
-    return _importances_with_mass(dataset.latent_matrix(), target, method, config)[0]
+    return _importances_with_mass(dataset.latent_matrix(), [target], method, config)[0][0]
 
 
 def importance_matrix_from_dataset(dataset, method="forest", config=None):
     """(N, K) importance matrix plus the per-factor explained-mass diagnostics."""
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
-    latents = dataset.latent_matrix()
-    columns = []
-    masses = []
-    for f in dataset.factors:
-        raw, mass = _importances_with_mass(latents, f.values.astype(np.float64), method, config)
-        columns.append(raw)
-        masses.append(mass)
+    targets = [f.values.astype(np.float64) for f in dataset.factors]
+    columns, masses = _importances_with_mass(dataset.latent_matrix(), targets, method, config)
     return ImportanceMatrix(np.column_stack(columns)), np.array(masses)

@@ -22,6 +22,8 @@ from .core import (
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
+    ValidationError,
+    validate,
 )
 from . import estimators
 from .estimators import BinningSpec, ClassifierConfig
@@ -450,7 +452,9 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     is sampled into a seeded dataset of ``train_points`` rows for the
     dataset-based metrics. A matrix is scored as given (by default with
     DCI, MIG and 3CharM); nothing is estimated from it, so its reports
-    carry no seed and no config.
+    carry no seed and no config. A dataset with a bad column (unequal
+    length, a non-finite value, an out-of-range discrete value) raises
+    :class:`ValidationError` with the issues :func:`core.validate` found.
     """
     if metrics is not None and len(metrics) == 0:
         raise ValueError("no metrics selected")
@@ -467,6 +471,11 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     for name in selection:
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+    if isinstance(source, RepresentationDataset):
+        # a missing factor or latent group stays a per-metric skip; a bad column is an error
+        issues = [issue for issue in validate(source) if issue.column is not None]
+        if issues:
+            raise ValidationError(issues)
 
     inputs = _Inputs(source, config, binning, importance_method)
     seed = None if is_matrix else config.seed

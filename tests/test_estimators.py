@@ -18,6 +18,7 @@ from disentmetrics.estimators import (
     entropy,
     feature_importances,
     fit_linear_classifier,
+    importance_matrix_from_dataset,
     informativeness_from_mi,
     linear_regression_r2,
     majority_vote,
@@ -303,6 +304,18 @@ def test_forest_permutation_equivariant():
     assert np.array_equal(imp_perm, imp[perm])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_trees": 0}, {"max_depth": 0}, {"bag_fraction": 0.0}, {"bag_fraction": 1.5}, {"bag_fraction": -0.2},
+])
+def test_forest_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        ForestConfig(**kwargs)
+
+
+def test_forest_config_accepts_edges():
+    ForestConfig(n_trees=1, max_depth=1, bag_fraction=1.0)
+
+
 def test_lasso_single_informative_feature():
     imp = feature_importances(_single_informative_dataset(n=2000, seed=6), 0, "lasso")
     assert np.argmax(imp) == 3
@@ -312,3 +325,132 @@ def test_lasso_single_informative_feature():
 def test_unknown_method():
     with pytest.raises(ValueError):
         feature_importances(_single_informative_dataset(n=100), 0, "boost")
+
+
+# --- forest bit pin ---------------------------------------------------------
+# The per-node argsort forest, kept verbatim as the reference that every
+# faster forest must match bit for bit (importances and explained masses).
+
+
+def _ref_sse(total, total_sq, count):
+    return total_sq - total * total / count
+
+
+def _ref_best_split(x_node, y_node, sse_node):
+    m = y_node.size
+    best_gain, best_feat, best_mask = 0.0, -1, None
+    total = y_node.sum()
+    total_sq = (y_node * y_node).sum()
+    for f in range(x_node.shape[1]):
+        x = x_node[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y_node[order]
+        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # left sizes
+        if boundary.size == 0:
+            continue
+        cy = np.cumsum(ys)
+        cy2 = np.cumsum(ys * ys)
+        left = boundary
+        sse_l = _ref_sse(cy[left - 1], cy2[left - 1], left)
+        sse_r = _ref_sse(total - cy[left - 1], total_sq - cy2[left - 1], m - left)
+        gains = sse_node - sse_l - sse_r
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best_feat = f
+            best_mask = x <= xs[left[k] - 1]
+    return best_gain, best_feat, best_mask
+
+
+def _ref_tree_importance(x, y, rng, config, importance):
+    n = y.size
+    bag = max(1, int(round(config.bag_fraction * n)))
+    idx = rng.choice(n, size=bag, replace=False)
+    root_sse = _ref_sse(y[idx].sum(), (y[idx] ** 2).sum(), bag)
+    stack = [(idx, 0)]
+    while stack:
+        rows, depth = stack.pop()
+        if depth >= config.max_depth or rows.size < 2:
+            continue
+        y_node = y[rows]
+        sse_node = _ref_sse(y_node.sum(), (y_node * y_node).sum(), rows.size)
+        if sse_node <= 0.0:
+            continue
+        gain, feat, mask = _ref_best_split(x[rows], y_node, sse_node)
+        if feat < 0 or gain <= 0.0:
+            continue
+        importance[feat] += gain
+        stack.append((rows[mask], depth + 1))
+        stack.append((rows[~mask], depth + 1))
+    return max(root_sse, 0.0)
+
+
+def _ref_forest_importances(latents, target, config):
+    importance = np.zeros(latents.shape[1])
+    total_root_sse = 0.0
+    for t in range(config.n_trees):
+        rng = np.random.default_rng([config.seed, t])
+        total_root_sse += _ref_tree_importance(latents, target, rng, config, importance)
+    mass = float(importance.sum() / total_root_sse) if total_root_sse > 0 else 0.0
+    return importance, mass
+
+
+def _ref_importance_matrix(dataset, config):
+    latents = dataset.latent_matrix()
+    columns, masses = [], []
+    for f in dataset.factors:
+        raw, mass = _ref_forest_importances(latents, f.values.astype(np.float64), config)
+        total = raw.sum()
+        columns.append(raw / total if total > 0 else raw)
+        masses.append(mass)
+    return np.column_stack(columns), np.array(masses)
+
+
+def _bit_pin_case(i):
+    """Case i: a small seeded dataset and forest config. Every third case
+    rounds the latents to one decimal (heavy ties), every fourth makes the
+    first latent integer-valued, and every other factor is discrete."""
+    rng = np.random.default_rng([77, i])
+    if i == 0:
+        n, n_latents, n_factors, depth = 2, 1, 1, 1
+    elif i == 1:
+        n, n_latents, n_factors, depth = 300, 6, 4, 7
+    else:
+        n, n_latents, n_factors, depth = (int(rng.integers(lo, hi)) for lo, hi in ((2, 301), (1, 7), (1, 5), (1, 8)))
+    latents = rng.standard_normal((n, n_latents))
+    if i % 3 == 0:
+        latents = np.round(latents, 1)
+    if i % 4 == 1:
+        latents[:, 0] = rng.integers(0, 4, n)
+    factors = []
+    for j in range(n_factors):
+        if (i + j) % 2:
+            card = int(rng.integers(2, 6))
+            values = np.digitize(latents[:, j % n_latents], np.linspace(-1.0, 1.0, card - 1))
+            factors.append(FactorColumn(f"z{j}", values, kind="discrete", cardinality=card))
+        else:
+            values = latents @ rng.standard_normal(n_latents) + 0.3 * rng.standard_normal(n)
+            factors.append(FactorColumn(f"z{j}", np.round(values, 2)))
+    latent_cols = tuple(LatentColumn(f"c{k}", latents[:, k]) for k in range(n_latents))
+    config = ForestConfig(n_trees=int(rng.integers(1, 6)), max_depth=depth,
+                          bag_fraction=float(rng.uniform(0.3, 1.0)), seed=i)
+    return RepresentationDataset(tuple(factors), latent_cols), config
+
+
+def _assert_bits_match_reference(dataset, config):
+    matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
+    ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
+    assert matrix.values.shape == ref_matrix.shape
+    assert np.array_equal(matrix.values.view(np.uint64), ref_matrix.view(np.uint64))
+    assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_forest_bits_match_reference_small(case):
+    _assert_bits_match_reference(*_bit_pin_case(case))
+
+
+def test_forest_bits_match_reference_entangled():
+    dataset = synth.gen_entangled_family(0.5, n_factors=4, n=2000, seed=131)
+    _assert_bits_match_reference(dataset, ForestConfig())

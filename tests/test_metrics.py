@@ -8,6 +8,7 @@ from disentmetrics.core import (
     LatentColumn,
     NotComputableError,
     RepresentationDataset,
+    ValidationError,
 )
 from disentmetrics.estimators import informativeness_from_mi
 from disentmetrics.metrics import (
@@ -361,6 +362,34 @@ def test_evaluate_all_one_row_dataset_skips_every_dataset_metric():
     )
     reports = evaluate_all(one_row, metrics=["dci", "sap", "mig", "3charm"])
     assert [r.metric for r in reports] == ["dci", "sap", "mig", "3charm"]
+    assert all(r.skipped and r.skip_reason for r in reports)
+
+
+def _with_first_latent(ds, values):
+    return RepresentationDataset(ds.factors, (LatentColumn("c1", values),) + ds.latents[1:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_all_rejects_non_finite_dataset(bad):
+    ds = synth.gen_sap_nonlinear(n=10, seed=2)
+    values = ds.latents[0].values.copy()
+    values[3] = bad
+    with pytest.raises(ValidationError) as info:
+        evaluate_all(_with_first_latent(ds, values), metrics=["dci", "mig"])
+    assert [(i.column, i.row, i.message) for i in info.value.issues] == [("c1", 4, "non-finite value")]
+
+
+def test_evaluate_all_rejects_unequal_column_lengths():
+    ds = synth.gen_sap_nonlinear(n=10, seed=2)
+    short = _with_first_latent(ds, ds.latents[0].values[:9])
+    with pytest.raises(ValidationError) as info:
+        evaluate_all(short, metrics=["dci"])
+    assert [(i.column, i.message) for i in info.value.issues] == [("c1", "length mismatch")]
+
+
+def test_evaluate_all_missing_column_group_still_skips():
+    ds = synth.gen_sap_nonlinear(n=50, seed=2)
+    reports = evaluate_all(RepresentationDataset(ds.factors, ()), metrics=["dci", "sap", "mig"])
     assert all(r.skipped and r.skip_reason for r in reports)
 
 
