@@ -477,6 +477,37 @@ class RepresentationOracle:
         c = self._encoder(self._rng, z)
         return z, c
 
+    def sample_batches(self, fixed_factors, batch_size, paired=False):
+        """Latents of one intervention batch per entry of ``fixed_factors``,
+        from one factor-sampler call and one encoder call.
+
+        Unpaired (FactorVAE), batch t holds factor ``fixed_factors[t]`` at
+        one value from the factor marginal; returns (T, batch_size, N).
+        Paired (BetaVAE), batch t is two halves whose second copies that
+        factor's column from the first; returns (T, 2, batch_size, N).
+        Factor rows come in the order the matching sequence of
+        :meth:`sample` calls draws them, so for a sampler whose draws
+        concatenate in row order and an encoder that draws nothing, the
+        latents equal those calls' bit for bit.
+        """
+        fixed = np.asarray(fixed_factors, dtype=np.int64)
+        if ((fixed < 0) | (fixed >= self.n_factors)).any():
+            raise ValueError("fixed factor out of range")
+        t = np.arange(fixed.size)
+        k = self.n_factors
+        if paired:
+            z = self._factor_sampler(self._rng, fixed.size * 2 * batch_size)
+            z = z.reshape(fixed.size, 2, batch_size, k)
+            z[t, 1, :, fixed] = z[t, 0, :, fixed]
+        else:
+            # the first row of each block only supplies the pinned value
+            z = self._factor_sampler(self._rng, fixed.size * (batch_size + 1))
+            z = z.reshape(fixed.size, batch_size + 1, k)
+            z[t, 1:, fixed] = z[t, 0, fixed][:, None]
+            z = z[:, 1:]
+        c = self._encoder(self._rng, z.reshape(-1, k))
+        return c.reshape(*z.shape[:-1], self.n_latents)
+
     def sample_dataset(self, n=None, factor_kinds=None):
         """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""
         n = self.default_n if n is None else int(n)

@@ -219,7 +219,12 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     w = np.zeros((n_classes, d + 1))
     for _ in range(config.epochs):
         scores = xb @ w.T
-        scores -= scores.max(axis=1, keepdims=True)
+        # row max as a fold over the few class columns: an axis-1 reduce of
+        # C-wide rows runs one short inner loop per row
+        top = scores[:, 0]
+        for j in range(1, n_classes):
+            top = np.maximum(top, scores[:, j])
+        scores -= top[:, None]
         probs = np.exp(scores)
         probs /= probs.sum(axis=1, keepdims=True)
         grad = (probs - onehot).T @ xb / n

@@ -29,6 +29,8 @@ from . import estimators
 from .estimators import BinningSpec, ClassifierConfig
 
 FACTORVAE_REFERENCE_DRAWS = 10000
+# factor rows per oracle call when drawing BetaVAE/FactorVAE batches
+INTERVENTION_CHUNK_ROWS = 4096
 FACTORVAE_STD_FLOOR = 1e-8
 LOW_IMPORTANCE_MASS = 0.1
 
@@ -75,15 +77,19 @@ def _top_two_gap(column):
 # ---------------------------------------------------------------------------
 
 
+def _chunks(count, rows_per_batch):
+    """(start, stop) batch ranges of at most INTERVENTION_CHUNK_ROWS rows
+    each (one batch when a batch alone is larger)."""
+    step = max(1, INTERVENTION_CHUNK_ROWS // rows_per_batch)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _betavae_points(oracle, choice_rng, count, batch_size, n_factors):
+    labels = choice_rng.integers(n_factors, size=count)
     feats = np.empty((count, oracle.n_latents))
-    labels = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        r = int(choice_rng.integers(n_factors))
-        z_a, c_a = oracle.sample(batch_size)
-        _, c_b = oracle.sample(batch_size, fixed_factor=r, fixed_value=z_a[:, r])
-        feats[t] = np.abs(c_a - c_b).mean(axis=0)
-        labels[t] = r
+    for start, stop in _chunks(count, 2 * batch_size):
+        c = oracle.sample_batches(labels[start:stop], batch_size, paired=True)
+        feats[start:stop] = np.abs(c[:, 0] - c[:, 1]).mean(axis=1)
     return feats, labels
 
 
@@ -141,15 +147,13 @@ def beta_vae_score(oracle, config=InterventionConfig()):
 
 
 def _factorvae_points(oracle, choice_rng, count, batch_size, n_factors, ref_std, active):
+    labels = choice_rng.integers(n_factors, size=count)
     dims = np.empty(count, dtype=np.int64)
-    labels = np.empty(count, dtype=np.int64)
     active_idx = np.flatnonzero(active)
-    for t in range(count):
-        r = int(choice_rng.integers(n_factors))
-        _, c = oracle.sample(batch_size, fixed_factor=r)
-        scaled = c[:, active_idx] / ref_std[active_idx]
-        dims[t] = int(active_idx[np.argmin(scaled.var(axis=0))])
-        labels[t] = r
+    for start, stop in _chunks(count, batch_size + 1):
+        c = oracle.sample_batches(labels[start:stop], batch_size)
+        scaled = c[:, :, active_idx] / ref_std[active_idx]
+        dims[start:stop] = active_idx[np.argmin(scaled.var(axis=1), axis=1)]
     return dims, labels
 
 
@@ -387,6 +391,14 @@ def three_charm_score(matrix):
 # ---------------------------------------------------------------------------
 
 
+def _check_columns(dataset):
+    """Raise :class:`ValidationError` for a bad column; a missing factor or
+    latent group is left to each metric to skip."""
+    issues = [issue for issue in validate(dataset) if issue.column is not None]
+    if issues:
+        raise ValidationError(issues)
+
+
 class _Inputs:
     """What one :func:`evaluate_all` call scores from. The dataset sampled
     from an oracle and the MI matrix (the given matrix, or estimated from
@@ -405,6 +417,7 @@ class _Inputs:
         if self._dataset is None:
             seed = _spawn_seeds(self.config.seed, 1, domain=3)[0]
             self._dataset = self.source.reseeded(seed).sample_dataset(self.config.train_points)
+            _check_columns(self._dataset)
         return self._dataset
 
     def mi(self):
@@ -454,7 +467,8 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     DCI, MIG and 3CharM); nothing is estimated from it, so its reports
     carry no seed and no config. A dataset with a bad column (unequal
     length, a non-finite value, an out-of-range discrete value) raises
-    :class:`ValidationError` with the issues :func:`core.validate` found.
+    :class:`ValidationError` with the issues :func:`core.validate` found,
+    and so does the dataset sampled from an oracle.
     """
     if metrics is not None and len(metrics) == 0:
         raise ValueError("no metrics selected")
@@ -472,10 +486,7 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
     if isinstance(source, RepresentationDataset):
-        # a missing factor or latent group stays a per-metric skip; a bad column is an error
-        issues = [issue for issue in validate(source) if issue.column is not None]
-        if issues:
-            raise ValidationError(issues)
+        _check_columns(source)
 
     inputs = _Inputs(source, config, binning, importance_method)
     seed = None if is_matrix else config.seed

@@ -29,6 +29,10 @@ BETAVAE_MIX = np.array([
     [0.5, 0.0, 0.5],
 ])
 
+# Row k's cumulative probabilities, normalised by their last entry as
+# Generator.choice normalises them.
+_BETAVAE_CDF = BETAVAE_MIX.cumsum(axis=1) / BETAVAE_MIX.cumsum(axis=1)[:, -1:]
+
 # Deterministic linear mixing: c = z @ FACTORVAE_MIX.T over standard normals.
 FACTORVAE_MIX = np.array([
     [0.5, 0.4, 0.5],
@@ -55,12 +59,10 @@ def gen_betavae_counterexample(n=10000, seed=DEFAULT_SEED):
     """
 
     def encode(rng, z):
-        n_rows = z.shape[0]
-        c = np.empty((n_rows, 3))
-        for k in range(3):
-            choice = rng.choice(3, size=n_rows, p=BETAVAE_MIX[k])
-            c[:, k] = z[np.arange(n_rows), choice]
-        return c
+        # what rng.choice(3, size=n, p=BETAVAE_MIX[k]) computes for k = 0, 1, 2
+        u = rng.random((3, z.shape[0]))
+        choice = np.stack([_BETAVAE_CDF[k].searchsorted(u[k], side="right") for k in range(3)], axis=1)
+        return np.take_along_axis(z, choice, axis=1)
 
     return RepresentationOracle(
         3, 3, _uniform01, encode, seed=seed,

@@ -21,8 +21,8 @@ from disentmetrics.core import save_dataset, save_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
-ORACLE_ARGS = ["--oracle", "identity", "--train-points", "300", "--eval-points", "100",
-               "--batch-size", "16", "--metrics", "factorvae,dci,sap,mig,3charm"]
+SIZES = ["--train-points", "300", "--eval-points", "100", "--batch-size", "16"]
+ORACLE_ARGS = ["--oracle", "identity", *SIZES, "--metrics", "factorvae,dci,sap,mig,3charm"]
 
 # name -> (argv, files the command writes besides stdout)
 COMMANDS = {
@@ -32,6 +32,9 @@ COMMANDS = {
                                   "--importance-method", "lasso"], ()),
     "eval_matrix": (["eval", "--matrix", "a.matrix"], ()),
     "eval_oracle": (["eval", *ORACLE_ARGS], ()),
+    "eval_oracle_betavae": (["eval", "--oracle", "identity", *SIZES, "--metrics", "betavae"], ()),
+    "eval_oracle_factorvae": (["eval", "--oracle", "factorvae-counterexample", *SIZES,
+                              "--metrics", "factorvae"], ()),
     "compare_csv": (["compare", "a.csv", "b.csv"], ()),
     "compare_csv_metrics": (["compare", "a.csv", "b.csv", "--metrics", "3charm,sap,mig"], ()),
     "compare_matrix": (["compare", "a.matrix", "b.matrix"], ()),

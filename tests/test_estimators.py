@@ -208,6 +208,37 @@ def test_classifier_deterministic():
     assert np.array_equal(w1, w2)
 
 
+def _ref_classifier_weights(points, labels, config=ClassifierConfig()):
+    """The gradient-descent loop with its axis-1 row max, kept verbatim as
+    the reference the column fold must match bit for bit."""
+    x = np.asarray(points, dtype=np.float64)
+    y = np.asarray(labels).astype(np.int64)
+    n, d = x.shape
+    n_classes = int(y.max()) + 1
+    xb = np.hstack([x, np.ones((n, 1))])
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    w = np.zeros((n_classes, d + 1))
+    for _ in range(config.epochs):
+        scores = xb @ w.T
+        scores -= scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=1, keepdims=True)
+        grad = (probs - onehot).T @ xb / n
+        w = w - config.learning_rate * grad
+    return w
+
+
+@pytest.mark.parametrize("n_classes", range(2, 11))
+def test_classifier_weights_match_row_max_reference(n_classes):
+    rng = np.random.default_rng(n_classes)
+    y = rng.permutation(np.arange(400) % n_classes)
+    # class-dependent means, so the winning column changes from row to row
+    x = rng.standard_normal((400, 3)) + 0.5 * np.eye(n_classes, 3)[y]
+    got = fit_linear_classifier(x, y).weights
+    assert np.array_equal(got.view(np.uint64), _ref_classifier_weights(x, y).view(np.uint64))
+
+
 # --- majority vote ---------------------------------------------------------
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from disentmetrics import synth
+from disentmetrics import metrics, synth
 from disentmetrics.core import (
     FactorColumn,
     InformativenessMatrix,
     LatentColumn,
     NotComputableError,
     RepresentationDataset,
+    RepresentationOracle,
     ValidationError,
 )
 from disentmetrics.estimators import informativeness_from_mi
@@ -259,6 +260,113 @@ def test_factorvae_excludes_collapsed_dimension():
     assert 0 in report.intermediates["excluded_dimensions"]
 
 
+# --- batched intervention points ----------------------------------------------
+# The per-batch loops, one oracle.sample call per batch, kept verbatim as the
+# reference the chunked draws must match bit for bit whenever the factor
+# sampler draws rows in order and the encoder draws nothing.
+
+
+def _ref_betavae_points(oracle, choice_rng, count, batch_size, n_factors):
+    feats = np.empty((count, oracle.n_latents))
+    labels = np.empty(count, dtype=np.int64)
+    for t in range(count):
+        r = int(choice_rng.integers(n_factors))
+        z_a, c_a = oracle.sample(batch_size)
+        _, c_b = oracle.sample(batch_size, fixed_factor=r, fixed_value=z_a[:, r])
+        feats[t] = np.abs(c_a - c_b).mean(axis=0)
+        labels[t] = r
+    return feats, labels
+
+
+def _ref_factorvae_points(oracle, choice_rng, count, batch_size, n_factors, ref_std, active):
+    dims = np.empty(count, dtype=np.int64)
+    labels = np.empty(count, dtype=np.int64)
+    active_idx = np.flatnonzero(active)
+    for t in range(count):
+        r = int(choice_rng.integers(n_factors))
+        _, c = oracle.sample(batch_size, fixed_factor=r)
+        scaled = c[:, active_idx] / ref_std[active_idx]
+        dims[t] = int(active_idx[np.argmin(scaled.var(axis=0))])
+        labels[t] = r
+    return dims, labels
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+ROW_ORDER_ORACLES = [("identity", k) for k in (2, 3, 4, 5)] + [("factorvae-counterexample", 3)]
+# (count, batch_size): counts that leave a partial last chunk, and a batch
+# larger than a whole chunk
+POINT_SIZES = [(75, 64), (130, 16), (1, 2), (3, 3000)]
+
+
+def _row_order_oracle(name, k, seed):
+    if name == "identity":
+        return synth.gen_identity_oracle(n_factors=k, seed=seed)
+    return synth.gen_factorvae_counterexample(seed=seed)
+
+
+@pytest.mark.parametrize("count,batch_size", POINT_SIZES)
+@pytest.mark.parametrize("name,k", ROW_ORDER_ORACLES)
+def test_betavae_points_match_per_batch_reference(name, k, count, batch_size):
+    got_oracle, ref_oracle = _row_order_oracle(name, k, 3), _row_order_oracle(name, k, 3)
+    got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    feats, labels = metrics._betavae_points(got_oracle, got_rng, count, batch_size, k)
+    ref_feats, ref_labels = _ref_betavae_points(ref_oracle, ref_rng, count, batch_size, k)
+    assert np.array_equal(_bits(feats), _bits(ref_feats))
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(_bits(got_oracle.sample(4)[1]), _bits(ref_oracle.sample(4)[1]))
+
+
+@pytest.mark.parametrize("count,batch_size", POINT_SIZES)
+@pytest.mark.parametrize("name,k", ROW_ORDER_ORACLES)
+def test_factorvae_points_match_per_batch_reference(name, k, count, batch_size):
+    ref_std = _row_order_oracle(name, k, 0).sample(500)[1].std(axis=0)
+    active = np.ones(k, dtype=bool)
+    if k >= 4:
+        active[k // 2] = False  # leave one dimension out of the argmin
+    got_oracle, ref_oracle = _row_order_oracle(name, k, 3), _row_order_oracle(name, k, 3)
+    got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    dims, labels = metrics._factorvae_points(got_oracle, got_rng, count, batch_size, k, ref_std, active)
+    ref_dims, ref_labels = _ref_factorvae_points(ref_oracle, ref_rng, count, batch_size, k, ref_std, active)
+    assert np.array_equal(dims, ref_dims)
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(_bits(got_oracle.sample(4)[1]), _bits(ref_oracle.sample(4)[1]))
+
+
+@pytest.mark.parametrize("name,k", ROW_ORDER_ORACLES)
+def test_sample_batches_match_sample_calls(name, k):
+    fixed = np.random.default_rng(k).integers(k, size=7)
+    got, ref = _row_order_oracle(name, k, 4), _row_order_oracle(name, k, 4)
+    paired = got.sample_batches(fixed, 9, paired=True)
+    unpaired = got.sample_batches(fixed, 9)
+    for t, r in enumerate(fixed):
+        z_a, c_a = ref.sample(9)
+        _, c_b = ref.sample(9, fixed_factor=r, fixed_value=z_a[:, r])
+        assert np.array_equal(_bits(paired[t]), _bits(np.stack([c_a, c_b])))
+    for t, r in enumerate(fixed):
+        assert np.array_equal(_bits(unpaired[t]), _bits(ref.sample(9, fixed_factor=r)[1]))
+
+
+def test_sample_batches_rejects_out_of_range_factor():
+    oracle = synth.gen_identity_oracle(n_factors=3, seed=1)
+    for fixed in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.sample_batches(fixed, 5)
+
+
+def test_chunks_cover_every_batch_once():
+    rows = metrics.INTERVENTION_CHUNK_ROWS
+    for count, rows_per_batch in ((1, 2), (1000, 129), (7, rows + 1), (4096, 1)):
+        chunks = metrics._chunks(count, rows_per_batch)
+        assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+        assert chunks[-1][1] == count
+        assert all((stop - start) * rows_per_batch <= max(rows, rows_per_batch) for start, stop in chunks)
+
+
 # --- permutation invariance ------------------------------------------------------
 
 
@@ -385,6 +493,19 @@ def test_evaluate_all_rejects_unequal_column_lengths():
     with pytest.raises(ValidationError) as info:
         evaluate_all(short, metrics=["dci"])
     assert [(i.column, i.message) for i in info.value.issues] == [("c1", "length mismatch")]
+
+
+def test_evaluate_all_rejects_non_finite_oracle_latent():
+    def encode(rng, z):
+        c = z.copy()
+        c[0, 0] = np.nan
+        return c
+
+    oracle = RepresentationOracle(2, 2, lambda rng, n: rng.uniform(0, 1, size=(n, 2)), encode, seed=0)
+    with pytest.raises(ValidationError) as info:
+        evaluate_all(oracle, metrics=["dci", "mig"], config=InterventionConfig(
+            train_points=50, eval_points=10, batch_size=4, seed=1))
+    assert [(i.column, i.row, i.message) for i in info.value.issues] == [("c1", 1, "non-finite value")]
 
 
 def test_evaluate_all_missing_column_group_still_skips():

@@ -1,18 +1,32 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from disentmetrics.analysis import spearman
-from disentmetrics.core import InformativenessMatrix
+from disentmetrics.core import (
+    FactorColumn,
+    InformativenessMatrix,
+    LatentColumn,
+    MetricsError,
+    RepresentationDataset,
+)
 from disentmetrics.estimators import (
     BinningSpec,
     discretize,
     entropy,
+    importance_matrix_from_dataset,
     majority_vote,
     mutual_information,
 )
-from disentmetrics.metrics import dci_score, mig_score, three_charm_score
+from disentmetrics.metrics import (
+    DATASET_METRICS,
+    dci_score,
+    evaluate_all,
+    mig_score,
+    sap_score,
+    three_charm_score,
+)
 
 label_pairs = st.integers(min_value=1, max_value=150).flatmap(
     lambda n: st.tuples(
@@ -120,3 +134,114 @@ def test_majority_vote_training_accuracy_identity(pairs):
     votes = table.votes
     expected = sum(votes[i].max() for i in range(votes.shape[0])) / len(pairs)
     assert abs(table.accuracy(pairs) - expected) <= 1e-12
+
+
+# --- dataset-level invariances ------------------------------------------------
+
+
+@st.composite
+def paired_datasets(draw):
+    """Seeded noisy linear mixtures of U[-1,1] factors, latents rounded to a
+    1e-3 grid; the last factor is sometimes a 3-level discrete one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, n_latents = draw(st.integers(20, 150)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    z = rng.uniform(-1.0, 1.0, size=(n, k))
+    c = np.round(z @ rng.standard_normal((k, n_latents)) + 0.3 * rng.standard_normal((n, n_latents)), 3)
+    factors = [FactorColumn(f"z{j + 1}", z[:, j]) for j in range(k)]
+    if draw(st.booleans()):
+        factors[-1] = FactorColumn(f"z{k}", np.digitize(z[:, -1], [-0.3, 0.3]), kind="discrete", cardinality=3)
+    latents = [LatentColumn(f"c{i + 1}", c[:, i]) for i in range(n_latents)]
+    return RepresentationDataset(factors, latents)
+
+
+def _with_latent(dataset, i, values):
+    latents = list(dataset.latents)
+    latents[i] = LatentColumn(latents[i].name, values)
+    return RepresentationDataset(dataset.factors, latents)
+
+
+def _keeps_ties(a, b):
+    """A monotone map is one-to-one on a sample exactly when it keeps the
+    number of distinct values."""
+    return np.unique(a).size == np.unique(b).size
+
+
+@given(paired_datasets(), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_permuting_latents_leaves_dataset_metrics_unchanged(dataset, rnd):
+    perm = list(range(dataset.n_latents))
+    rnd.shuffle(perm)
+    permuted = RepresentationDataset(dataset.factors, [dataset.latents[i] for i in perm])
+    names = ["sap", "mig", "3charm"]
+    scores = [r.score for r in evaluate_all(dataset, metrics=names)]
+    assert [r.score for r in evaluate_all(permuted, metrics=names)] == scores
+    # DCI aggregates the estimated importances order-free; the forest breaks
+    # exact gain ties toward the lowest latent index, so the estimate itself
+    # is checked on permuted rows rather than re-estimated
+    importances = importance_matrix_from_dataset(dataset)[0].values
+    assert dci_score(importances[perm]).score == dci_score(importances).score
+
+
+@given(paired_datasets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sap_unchanged_under_affine_latent_rescaling(dataset, data):
+    i = data.draw(st.integers(0, dataset.n_latents - 1))
+    scale = data.draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 10.0]))
+    shift = data.draw(st.sampled_from([-5.0, 0.0, 1.5]))
+    values = dataset.latents[i].values
+    rescaled = scale * values + shift
+    assume(_keeps_ties(values, rescaled))
+    before = sap_score(dataset).score
+    assert abs(sap_score(_with_latent(dataset, i, rescaled)).score - before) <= 1e-12
+
+
+@given(paired_datasets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mig_and_3charm_unchanged_under_increasing_latent_maps(dataset, data):
+    i = data.draw(st.integers(0, dataset.n_latents - 1))
+    transform = data.draw(st.sampled_from([lambda v: v**3, np.arctan, lambda v: np.exp(v / 4.0)]))
+    values = dataset.latents[i].values
+    mapped = transform(values)
+    assume(_keeps_ties(values, mapped))
+    spec = BinningSpec("quantile", data.draw(st.integers(2, 20)))
+    names = ["mig", "3charm"]
+    before = evaluate_all(dataset, metrics=names, binning=spec)
+    after = evaluate_all(_with_latent(dataset, i, mapped), metrics=names, binning=spec)
+    assert [(r.skipped, r.score) for r in after] == [(r.skipped, r.score) for r in before]
+
+
+# --- degenerate inputs --------------------------------------------------------
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """Tiny, constant, duplicate-heavy and discrete-only datasets: every
+    continuous column draws from a pool of at most three values."""
+    n = draw(st.integers(1, 4) | st.integers(5, 40))
+    pool = draw(st.lists(st.integers(-2000, 2000).map(lambda i: i / 4), min_size=1, max_size=3))
+    values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    discrete_only = draw(st.booleans())
+    factors = []
+    for j in range(draw(st.integers(1, 3))):
+        if discrete_only or draw(st.booleans()):
+            cardinality = draw(st.integers(1, 30))
+            labels = draw(st.lists(st.integers(0, cardinality - 1), min_size=n, max_size=n))
+            factors.append(FactorColumn(f"z{j + 1}", labels, kind="discrete", cardinality=cardinality))
+        else:
+            factors.append(FactorColumn(f"z{j + 1}", draw(values)))
+    latents = [LatentColumn(f"c{i + 1}", draw(values)) for i in range(draw(st.integers(1, 3)))]
+    return RepresentationDataset(factors, latents)
+
+
+@given(degenerate_datasets())
+@settings(max_examples=150, deadline=None)
+def test_degenerate_datasets_score_skip_or_raise_typed(dataset):
+    try:
+        reports = evaluate_all(dataset, metrics=list(DATASET_METRICS))
+    except MetricsError:
+        return
+    for report in reports:
+        if report.skipped:
+            assert report.skip_reason
+        else:
+            assert 0.0 <= report.score <= 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from disentmetrics import synth
-from disentmetrics.core import validate
+from disentmetrics.core import RepresentationOracle, validate
 from disentmetrics.estimators import informativeness_from_mi, mutual_information, discretize
 from disentmetrics.metrics import mig_score, sap_score, three_charm_score
 from disentmetrics.synth import GeneratorSpec, parse_spec_string
@@ -37,6 +37,30 @@ def test_betavae_counterexample_respects_intervention():
     oracle = synth.gen_betavae_counterexample(seed=2)
     z, _ = oracle.sample(500, fixed_factor=2, fixed_value=0.75)
     assert (z[:, 2] == 0.75).all()
+
+
+def _ref_betavae_encode(rng, z):
+    """The counterexample encoder with one rng.choice call per latent, kept
+    verbatim as the reference for the cumulative-probability search."""
+    n_rows = z.shape[0]
+    c = np.empty((n_rows, 3))
+    for k in range(3):
+        choice = rng.choice(3, size=n_rows, p=synth.BETAVAE_MIX[k])
+        c[:, k] = z[np.arange(n_rows), choice]
+    return c
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 5000])
+def test_betavae_counterexample_encoder_matches_rng_choice(n):
+    oracle = synth.gen_betavae_counterexample(seed=n)
+    reference = RepresentationOracle(
+        3, 3, lambda rng, m: rng.uniform(0.0, 1.0, size=(m, 3)), _ref_betavae_encode, seed=n)
+    for args in ((n,), (n, 1), (n, 2, 0.25), (n,)):
+        z, c = oracle.sample(*args)
+        z_ref, c_ref = reference.sample(*args)
+        assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
+        assert np.array_equal(c.view(np.uint64), c_ref.view(np.uint64))
+        assert oracle._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
 def test_factorvae_counterexample_variances():
