@@ -4,10 +4,8 @@ and cross-metric analysis tooling."""
 
 from .core import (
     DEFAULT_SEED,
-    FactorColumn,
     ImportanceMatrix,
     InformativenessMatrix,
-    LatentColumn,
     MetricReport,
     MetricsError,
     NotComputableError,
@@ -24,7 +22,6 @@ from .estimators import (
     BinningSpec,
     discretize,
     entropy,
-    feature_importances,
     informativeness_from_mi,
     linear_regression_r2,
     mutual_information,
@@ -46,11 +43,9 @@ __all__ = [
     "DEFAULT_SEED",
     "BinningSpec",
     "ComparisonReport",
-    "FactorColumn",
     "ImportanceMatrix",
     "InformativenessMatrix",
     "InterventionConfig",
-    "LatentColumn",
     "MetricReport",
     "MetricsError",
     "NotComputableError",
@@ -67,7 +62,6 @@ __all__ = [
     "entropy",
     "evaluate_all",
     "factor_vae_score",
-    "feature_importances",
     "informativeness_from_mi",
     "linear_regression_r2",
     "load_dataset",

@@ -2,8 +2,11 @@
 
 Data layout conventions used throughout the package:
 
-* a dataset pairs K generative-factor columns with N latent-code columns,
-  all of length n; row r of both groups describes the same sample;
+* a dataset pairs an (n, K) generative-factor matrix Z with an (n, N)
+  latent-code matrix C; row r of both describes the same sample. Both are
+  stored C-ordered (row-major), with column names (``z1..zK`` and
+  ``c1..cN`` by default) and one cardinality per factor: None for a
+  continuous factor, k for a discrete one;
 * informativeness and importance matrices are (N, K): entry [i, j] scores
   how much latent i tells about factor j;
 * all values are float64; discrete factors are floats with integral values
@@ -24,7 +27,6 @@ import numpy as np
 
 DEFAULT_SEED = 7
 
-FACTOR_KINDS = ("continuous", "discrete")
 PROVENANCES = ("mutual_information", "linear_r2", "importance", "external")
 
 
@@ -61,81 +63,68 @@ class DegenerateLabelsError(MetricsError):
     """A classifier was asked to fit fewer than two classes."""
 
 
-def _freeze(a, dtype=np.float64):
-    arr = np.array(a, dtype=dtype)
+def _freeze(a, order="K"):
+    arr = np.array(a, dtype=np.float64, order=order)
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
-class FactorColumn:
-    """One generative factor: a named column of n real values."""
-
-    name: str
-    values: np.ndarray
-    kind: str = "continuous"
-    cardinality: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in FACTOR_KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == "discrete" and (self.cardinality is None or self.cardinality < 1):
-            raise ValueError("discrete factor needs cardinality >= 1")
-        object.__setattr__(self, "values", _freeze(np.atleast_1d(self.values)))
-
-
-@dataclass(frozen=True, eq=False)
-class LatentColumn:
-    """One latent code dimension: a named column of n real values."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.atleast_1d(self.values)))
-
-
-@dataclass(frozen=True, eq=False)
 class RepresentationDataset:
-    """Paired factor columns Z (n x K) and latent columns C (n x N).
+    """Paired factor matrix Z (n x K) and latent matrix C (n x N).
 
-    Construction is permissive; run :func:`validate` to check invariants
-    (loaders do this automatically).
+    Both are stored as read-only, C-ordered float64 copies, so a reduction
+    over rows sums in the same order whatever the input layout (the lasso's
+    column means depend on it, bit for bit). Names default
+    to ``z1..zK`` and ``c1..cN``; ``cardinalities`` holds one entry per
+    factor, None for a continuous factor and k for a discrete one over
+    {0, ..., k-1} (all continuous by default). Construction is permissive;
+    run :func:`validate` to check invariants (loaders do this automatically).
     """
 
-    factors: tuple
-    latents: tuple
+    factors: np.ndarray
+    latents: np.ndarray
+    factor_names: tuple = None
+    latent_names: tuple = None
+    cardinalities: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "latents", tuple(self.latents))
+        factors, latents = _freeze(self.factors, order="C"), _freeze(self.latents, order="C")
+        if factors.ndim != 2 or latents.ndim != 2:
+            raise ValueError("factors and latents must be 2-d (rows, columns) arrays")
+        k, m = factors.shape[1], latents.shape[1]
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "latents", latents)
+        defaults = {
+            "factor_names": [f"z{j + 1}" for j in range(k)],
+            "latent_names": [f"c{i + 1}" for i in range(m)],
+            "cardinalities": [None] * k,
+        }
+        for field_name, default in defaults.items():
+            given = getattr(self, field_name)
+            object.__setattr__(self, field_name, tuple(default if given is None else given))
+        if (len(self.factor_names), len(self.latent_names), len(self.cardinalities)) != (k, m, k):
+            raise ValueError("need one name per column and one cardinality per factor")
+        if any(card is not None and card < 1 for card in self.cardinalities):
+            raise ValueError("discrete factor needs cardinality >= 1")
 
     @property
     def n(self):
-        cols = self.factors + self.latents
-        return int(cols[0].values.size) if cols else 0
+        return (self.factors if self.n_factors else self.latents).shape[0]
 
     @property
     def n_factors(self):
-        return len(self.factors)
+        return self.factors.shape[1]
 
     @property
     def n_latents(self):
-        return len(self.latents)
+        return self.latents.shape[1]
 
     def factor_matrix(self):
-        return np.column_stack([f.values for f in self.factors])
+        return self.factors
 
     def latent_matrix(self):
-        return np.column_stack([c.values for c in self.latents])
-
-    @property
-    def factor_names(self):
-        return [f.name for f in self.factors]
-
-    @property
-    def latent_names(self):
-        return [c.name for c in self.latents]
+        return self.latents
 
 
 @dataclass(frozen=True)
@@ -160,29 +149,27 @@ def validate(dataset):
         issues.append(ValidationIssue(None, None, "dataset has no factor columns"))
     if dataset.n_latents < 1:
         issues.append(ValidationIssue(None, None, "dataset has no latent columns"))
-    cols = list(dataset.factors) + list(dataset.latents)
-    if not cols:
+    names = dataset.factor_names + dataset.latent_names
+    if not names:
         return issues
-    n = cols[0].values.size
+    n = dataset.n
     if n < 1:
-        issues.append(ValidationIssue(cols[0].name, None, "empty column"))
-    for col in cols:
-        if col.values.size != n:
-            issues.append(ValidationIssue(col.name, None, "length mismatch"))
-    for col in cols:
-        bad = np.flatnonzero(~np.isfinite(col.values))
-        for r in bad:
-            issues.append(ValidationIssue(col.name, int(r) + 1, "non-finite value"))
-    for f in dataset.factors:
-        if f.kind != "discrete":
+        issues.append(ValidationIssue(names[0], None, "empty column"))
+    if dataset.latents.shape[0] != n:
+        issues.extend(ValidationIssue(name, None, "length mismatch") for name in dataset.latent_names)
+    finite = np.isfinite(dataset.factors)
+    for group, ok in ((dataset.factor_names, finite), (dataset.latent_names, np.isfinite(dataset.latents))):
+        for j, r in zip(*np.nonzero(~ok.T)):
+            issues.append(ValidationIssue(group[j], int(r) + 1, "non-finite value"))
+    for j, card in enumerate(dataset.cardinalities):
+        if card is None:
             continue
-        v = f.values
-        finite = np.isfinite(v)
-        off = np.flatnonzero(finite & ((v != np.floor(v)) | (v < 0) | (v >= f.cardinality)))
+        v = dataset.factors[:, j]
+        off = np.flatnonzero(finite[:, j] & ((v != np.floor(v)) | (v < 0) | (v >= card)))
         for r in off:
             issues.append(
                 ValidationIssue(
-                    f.name, int(r) + 1, f"value {v[r]!r} outside discrete range 0..{f.cardinality - 1}"
+                    dataset.factor_names[j], int(r) + 1, f"value {v[r]!r} outside discrete range 0..{card - 1}"
                 )
             )
     return issues
@@ -199,10 +186,11 @@ def validate(dataset):
 
 
 def _parse_role(token):
+    """``(role, cardinality)``: None for a latent or a continuous factor."""
     if token == "latent":
         return ("latent", None)
     if token == "factor:c":
-        return ("factor", ("continuous", None))
+        return ("factor", None)
     if token.startswith("factor:d"):
         try:
             card = int(token[len("factor:d"):])
@@ -210,7 +198,7 @@ def _parse_role(token):
             raise SchemaError(f"bad discrete cardinality in role {token!r}") from None
         if card < 1:
             raise SchemaError(f"cardinality must be >= 1 in role {token!r}")
-        return ("factor", ("discrete", card))
+        return ("factor", card)
     raise SchemaError(f"unknown column role {token!r}")
 
 
@@ -231,13 +219,10 @@ def load_schema(path):
 
 
 def _split_header_token(token):
-    # inline suffix: name:c | name:d<k> | bare name
-    if token.endswith(":c"):
-        return token[:-2], ("factor", ("continuous", None))
-    if ":d" in token:
-        name, _, suffix = token.rpartition(":d")
-        if suffix.isdigit():
-            return name, ("factor", ("discrete", int(suffix)))
+    # inline suffix: name:c | name:d<k> | bare name; a suffix is checked like a schema role
+    name, sep, suffix = token.rpartition(":")
+    if sep and (suffix == "c" or (suffix[:1] == "d" and suffix[1:].isdigit())):
+        return name, _parse_role("factor:" + suffix)
     return token, ("latent", None)
 
 
@@ -276,30 +261,29 @@ def load_dataset(path, schema=None):
         roles = dict(parsed)
         order = names
 
-    columns = {name: np.empty(len(rows), dtype=np.float64) for name in names}
+    table = np.empty((len(rows), len(names)), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != len(names):
             raise ParseError(f"row {r + 1} has {len(row)} cells, expected {len(names)}", row=r + 1)
-        for name, cell in zip(names, row):
+        for c, cell in enumerate(row):
             try:
-                columns[name][r] = float(cell)
+                table[r, c] = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"non-numeric cell {cell!r} at row {r + 1}, column {name}",
+                    f"non-numeric cell {cell!r} at row {r + 1}, column {names[c]}",
                     row=r + 1,
-                    column=name,
+                    column=names[c],
                 ) from None
 
-    factors = []
-    latents = []
-    for name in order:
-        role, detail = roles[name]
-        if role == "factor":
-            kind, card = detail
-            factors.append(FactorColumn(name, columns[name], kind=kind, cardinality=card))
-        else:
-            latents.append(LatentColumn(name, columns[name]))
-    dataset = RepresentationDataset(tuple(factors), tuple(latents))
+    factors = [name for name in order if roles[name][0] == "factor"]
+    latents = [name for name in order if roles[name][0] == "latent"]
+    dataset = RepresentationDataset(
+        table[:, [names.index(name) for name in factors]],
+        table[:, [names.index(name) for name in latents]],
+        factors,
+        latents,
+        [roles[name][1] for name in factors],
+    )
     issues = validate(dataset)
     if issues:
         raise ValidationError(issues)
@@ -315,14 +299,11 @@ def _atomic_write(path, text):
 
 def save_dataset(dataset, path):
     """Write a dataset as CSV with self-describing inline header suffixes."""
-    header = []
-    for f in dataset.factors:
-        header.append(f"{f.name}:d{f.cardinality}" if f.kind == "discrete" else f"{f.name}:c")
-    header.extend(c.name for c in dataset.latents)
-    cols = [f.values for f in dataset.factors] + [c.values for c in dataset.latents]
+    header = [f"{name}:c" if card is None else f"{name}:d{card}"
+              for name, card in zip(dataset.factor_names, dataset.cardinalities)]
+    header.extend(dataset.latent_names)
     lines = [",".join(header)]
-    for r in range(dataset.n):
-        lines.append(",".join(repr(float(col[r])) for col in cols))
+    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack([dataset.factors, dataset.latents]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -414,6 +395,8 @@ def load_matrix(path):
         k, n = (int(t) for t in lines[0].split(","))
     except ValueError:
         raise ParseError(f"bad matrix header {lines[0]!r}: expected K,N") from None
+    if k < 1 or n < 1:
+        raise ParseError(f"bad matrix header {lines[0]!r}: K and N must be >= 1")
     if len(lines) != n + 2:
         raise ParseError(f"expected {n + 2} lines ({n} latent rows), found {len(lines)}")
     try:
@@ -508,17 +491,9 @@ class RepresentationOracle:
         c = self._encoder(self._rng, z.reshape(-1, k))
         return c.reshape(*z.shape[:-1], self.n_latents)
 
-    def sample_dataset(self, n=None, factor_kinds=None):
+    def sample_dataset(self, n=None):
         """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""
-        n = self.default_n if n is None else int(n)
-        z, c = self.sample(n)
-        kinds = factor_kinds or [("continuous", None)] * self.n_factors
-        factors = tuple(
-            FactorColumn(f"z{j + 1}", z[:, j], kind=kinds[j][0], cardinality=kinds[j][1])
-            for j in range(self.n_factors)
-        )
-        latents = tuple(LatentColumn(f"c{i + 1}", c[:, i]) for i in range(self.n_latents))
-        return RepresentationDataset(factors, latents)
+        return RepresentationDataset(*self.sample(self.default_n if n is None else int(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,12 @@ def mutual_information(a, b):
     return max(mi, 0.0)
 
 
-def encode_factor(column, spec=BinningSpec()):
-    """Labels for a factor column: native labels for small discrete factors,
-    otherwise discretized per the binning spec."""
-    if column.kind == "discrete" and column.cardinality <= spec.bin_count:
-        return column.values.astype(np.int64)
-    return discretize(column.values, spec)
+def encode_factor(values, cardinality, spec=BinningSpec()):
+    """Labels for a factor column: native labels for a discrete factor of
+    at most ``spec.bin_count`` values, otherwise discretized per the spec."""
+    if cardinality is not None and cardinality <= spec.bin_count:
+        return values.astype(np.int64)
+    return discretize(values, spec)
 
 
 def informativeness_from_mi(dataset, spec=BinningSpec()):
@@ -114,8 +114,9 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
     entropies of the encoded factors, so an invertible latent map can reach
     I[i, j] = H(z_j) exactly.
     """
-    factor_labels = [encode_factor(f, spec) for f in dataset.factors]
-    latent_labels = [discretize(c.values, spec) for c in dataset.latents]
+    factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
+    factor_labels = [encode_factor(z, card, spec) for z, card in zip(factors, dataset.cardinalities)]
+    latent_labels = [discretize(c, spec) for c in latents]
     n_latents, n_factors = len(latent_labels), len(factor_labels)
     values = np.zeros((n_latents, n_factors))
     for i in range(n_latents):
@@ -247,9 +248,6 @@ class MajorityVoteTable:
     @property
     def predictions(self):
         return np.argmax(self.votes, axis=1)
-
-    def predict(self, latent_index):
-        return int(self.predictions[latent_index])
 
     def accuracy(self, pairs):
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -415,21 +413,9 @@ def _importances_with_mass(latents, targets, method, config):
     raise ValueError(f"unknown importance method {method!r}")
 
 
-def feature_importances(dataset, factor_index, method="forest", config=None):
-    """Importance of each latent for predicting one factor.
-
-    The forest method returns summed impurity decreases normalized to sum
-    to 1 (all zeros for a constant factor); the lasso method returns raw
-    |coefficients|. Both are deterministic given the config.
-    """
-    target = dataset.factors[factor_index].values.astype(np.float64)
-    return _importances_with_mass(dataset.latent_matrix(), [target], method, config)[0][0]
-
-
 def importance_matrix_from_dataset(dataset, method="forest", config=None):
     """(N, K) importance matrix plus the per-factor explained-mass diagnostics."""
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
-    targets = [f.values.astype(np.float64) for f in dataset.factors]
-    columns, masses = _importances_with_mass(dataset.latent_matrix(), targets, method, config)
+    columns, masses = _importances_with_mass(dataset.latent_matrix(), dataset.factors.T, method, config)
     return ImportanceMatrix(np.column_stack(columns)), np.array(masses)

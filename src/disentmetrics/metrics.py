@@ -280,12 +280,14 @@ def sap_score(dataset):
         raise NotComputableError("sap needs at least 2 samples")
     n_latents, n_factors = dataset.n_latents, dataset.n_factors
     scores = np.zeros((n_latents, n_factors))
-    for j, f in enumerate(dataset.factors):
-        for i, c in enumerate(dataset.latents):
-            if f.kind == "discrete":
-                scores[i, j] = estimators.stump_accuracy(c.values, f.values)
+    # one contiguous row per column: strided column views make the R^2 sums several times slower
+    factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
+    for j, (z, card) in enumerate(zip(factors, dataset.cardinalities)):
+        for i, c in enumerate(latents):
+            if card is not None:
+                scores[i, j] = estimators.stump_accuracy(c, z)
             else:
-                scores[i, j] = estimators.linear_regression_r2(c.values, f.values)
+                scores[i, j] = estimators.linear_regression_r2(c, z)
     gaps = np.zeros(n_factors)
     selected = np.zeros(n_factors, dtype=np.int64)
     for j in range(n_factors):

@@ -13,10 +13,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_SEED,
-    FactorColumn,
     ImportanceMatrix,
     InformativenessMatrix,
-    LatentColumn,
     RepresentationDataset,
     RepresentationOracle,
 )
@@ -115,18 +113,6 @@ def gen_noise_oracle(n_factors=3, n_latents=3, n=10000, seed=DEFAULT_SEED):
     )
 
 
-def _dataset(z, c, factor_names=None, latent_names=None):
-    factors = tuple(
-        FactorColumn(factor_names[j] if factor_names else f"z{j + 1}", z[:, j])
-        for j in range(z.shape[1])
-    )
-    latents = tuple(
-        LatentColumn(latent_names[i] if latent_names else f"c{i + 1}", c[:, i])
-        for i in range(c.shape[1])
-    )
-    return RepresentationDataset(factors, latents)
-
-
 def gen_sap_nonlinear(n=10000, seed=DEFAULT_SEED):
     """Monotone but strongly nonlinear capture: two U[-1,1] factors with
     c1 = z1^15, c2 = z2^15. Information is fully preserved, linear
@@ -134,7 +120,7 @@ def gen_sap_nonlinear(n=10000, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=(n, 2))
     c = z**15
-    return _dataset(z, c)
+    return RepresentationDataset(z, c)
 
 
 def gen_sap_duplicate(n=10000, seed=DEFAULT_SEED):
@@ -144,7 +130,7 @@ def gen_sap_duplicate(n=10000, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=(n, 2))
     c = np.column_stack([z[:, 0], z[:, 0] ** 25 + z[:, 1] ** 25, z[:, 1]])
-    return _dataset(z, c)
+    return RepresentationDataset(z, c)
 
 
 DCI_MATRIX_CASES = ("eleven_factor", "two_factor")
@@ -197,7 +183,7 @@ def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
     if map_kind == "cubic":
         mapped = mapped**3
     c = mapped + noise_std * rng.standard_normal(size=mapped.shape) if noise_std > 0 else mapped
-    dataset = _dataset(z, c)
+    dataset = RepresentationDataset(z, c)
     if return_info:
         return dataset, {"permutation": perm.tolist(), "map_kind": map_kind, "noise_std": noise_std}
     return dataset
@@ -223,7 +209,7 @@ def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_
     mixing = (1.0 - level) * p + level * q
     z = rng.uniform(-1.0, 1.0, size=(n, n_factors))
     c = z @ mixing.T
-    dataset = _dataset(z, c)
+    dataset = RepresentationDataset(z, c)
     if return_info:
         return dataset, {"permutation": perm.tolist(), "mixing": mixing.tolist(), "level": level}
     return dataset

@@ -18,7 +18,6 @@ from disentmetrics import analysis, reproduce, synth
 from disentmetrics.cli import main as cli_main
 from disentmetrics.core import (
     InformativenessMatrix,
-    LatentColumn,
     RepresentationDataset,
     save_dataset,
 )
@@ -136,7 +135,7 @@ def test_criterion_6_property_suite():
     # permutation invariance of MIG / 3CharM / SAP / DCI
     ds = synth.gen_sap_duplicate(n=2000, seed=8)
     perm = [2, 0, 1]
-    permuted = RepresentationDataset(ds.factors, tuple(ds.latents[i] for i in perm))
+    permuted = RepresentationDataset(ds.factors, ds.latents[:, perm])
     i_a, i_b = informativeness_from_mi(ds), informativeness_from_mi(permuted)
     rng = np.random.default_rng(0)
     p = rng.uniform(0, 1, size=(4, 3))
@@ -163,8 +162,7 @@ def test_criterion_6_property_suite():
     # duplicate-latent asymmetry
     base_ds = synth.gen_disentangled(3, n=10000, noise_std=0.0, map_kind="linear", seed=6)
     base = informativeness_from_mi(base_ds)
-    dup_ds = RepresentationDataset(
-        base_ds.factors, base_ds.latents + (LatentColumn("c_copy", base_ds.latents[0].values),))
+    dup_ds = RepresentationDataset(base_ds.factors, np.column_stack([base_ds.latents, base_ds.latents[:, 0]]))
     dup = informativeness_from_mi(dup_ds)
     copied_factor = int(np.argmax(base.values[0]))
     checks.append(("duplicate-latent", (

@@ -3,12 +3,7 @@ import pytest
 
 from disentmetrics import estimators, synth
 from disentmetrics.analysis import compare, correlate_metrics, spearman
-from disentmetrics.core import (
-    FactorColumn,
-    LatentColumn,
-    NotComputableError,
-    RepresentationDataset,
-)
+from disentmetrics.core import NotComputableError, RepresentationDataset
 from disentmetrics.synth import GeneratorSpec
 
 
@@ -96,10 +91,9 @@ def test_correlate_metrics_drops_incomputable_with_reason():
         z1 = np.full(400, 1.0)  # constant factor: zero entropy kills mig
         z2 = gen.uniform(-1, 1, 400)
         return RepresentationDataset(
-            (FactorColumn("z1", z1), FactorColumn("z2", z2)),
-            (LatentColumn("c1", z2 + 0.01 * gen.standard_normal(400)),
-             LatentColumn("c2", gen.standard_normal(400)),
-             LatentColumn("c3", 0.5 * z2 + gen.standard_normal(400))),
+            np.column_stack([z1, z2]),
+            np.column_stack([z2 + 0.01 * gen.standard_normal(400), gen.standard_normal(400),
+                             0.5 * z2 + gen.standard_normal(400)]),
         )
 
     population = [make_dataset(s) for s in range(5)]

@@ -227,6 +227,14 @@ def test_eval_matrix_rejects_oracle_metric(tmp_path, capsys):
     assert "matrix" in err
 
 
+def test_eval_matrix_with_negative_latent_count_is_an_error(tmp_path, capsys):
+    path = tmp_path / "m.matrix"
+    path.write_text("2,-1\n", encoding="utf-8")
+    code, out, err = run(["eval", "--matrix", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "K and N must be >= 1" in err
+
+
 def test_eval_oracle_betavae_full_regime(capsys):
     code, out, _ = run([
         "eval", "--oracle", "betavae-counterexample", "--metrics", "betavae", "--seed", "11",

@@ -2,7 +2,8 @@
 must stay byte-identical across refactors of the evaluation path.
 
 Inputs are written by ``save_dataset``/``save_matrix`` from seeded
-generators into a temporary directory that becomes the working directory,
+generators, plus one CSV and schema written as text, into a temporary
+directory that becomes the working directory,
 so every path (and every ``compare`` label) is relative. To re-capture the
 expected files after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -13,6 +14,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disentmetrics import synth
@@ -30,6 +32,8 @@ COMMANDS = {
     "eval_dataset_csv": (["eval", "--dataset", "a.csv", "--format", "csv"], ()),
     "eval_dataset_table_lasso": (["eval", "--dataset", "a.csv", "--format", "table",
                                   "--importance-method", "lasso"], ()),
+    "eval_dataset_schema_lasso": (["eval", "--dataset", "m.csv", "--schema", "m.schema",
+                                   "--importance-method", "lasso"], ()),
     "eval_matrix": (["eval", "--matrix", "a.matrix"], ()),
     "eval_oracle": (["eval", *ORACLE_ARGS], ()),
     "eval_oracle_betavae": (["eval", "--oracle", "identity", *SIZES, "--metrics", "betavae"], ()),
@@ -52,6 +56,17 @@ def write_inputs(directory):
     matrix_a, matrix_b = synth.gen_comparison_matrices("mig_vs_3charm")
     save_matrix(matrix_a, os.path.join(directory, "a.matrix"))
     save_matrix(matrix_b, os.path.join(directory, "b.matrix"))
+    # two discrete factors and one continuous one, mixed into three latents;
+    # the file and the schema order the columns differently, and the schema
+    # interleaves factors with latents
+    rng = np.random.default_rng(5)
+    z = np.column_stack([rng.integers(0, 3, 400), rng.integers(0, 4, 400), rng.uniform(-1, 1, 400)])
+    c = z @ rng.standard_normal((3, 3)) + 0.1 * rng.standard_normal((400, 3))
+    table = np.column_stack([c[:, 0], z[:, 0], c[:, 1], z[:, 1], c[:, 2], z[:, 2]])
+    lines = ["c1,z1,c2,z2,c3,z3"] + [",".join(repr(float(x)) for x in row) for row in table]
+    Path(directory, "m.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(directory, "m.schema").write_text(
+        "z2=factor:d4\nc3=latent\nz1=factor:d3\nc1=latent\nz3=factor:c\nc2=latent\n", encoding="utf-8")
 
 
 def run_command(name):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+import disentmetrics
 from disentmetrics import synth
 from disentmetrics.core import (
-    FactorColumn,
     ImportanceMatrix,
     InformativenessMatrix,
-    LatentColumn,
     MetricReport,
     ParseError,
     RepresentationDataset,
@@ -31,8 +30,8 @@ def test_load_minimal_dataset(tmp_path):
     p = write(tmp_path / "d.csv", "z_1:d3,c_1\n0,0.1\n1,0.2\n2,0.3\n1,0.4\n")
     ds = load_dataset(p)
     assert ds.n_factors == 1 and ds.n_latents == 1 and ds.n == 4
-    assert ds.factors[0].kind == "discrete" and ds.factors[0].cardinality == 3
-    assert ds.factors[0].name == "z_1" and ds.latents[0].name == "c_1"
+    assert ds.cardinalities == (3,)
+    assert ds.factor_names == ("z_1",) and ds.latent_names == ("c_1",)
 
 
 def test_load_nan_cites_row_and_column(tmp_path):
@@ -62,9 +61,18 @@ def test_load_with_sidecar_schema(tmp_path):
     schema_path = write(tmp_path / "d.schema", "c_1=latent\nz_1=factor:d2\n")
     p = write(tmp_path / "d.csv", "z_1,c_1\n0,0.5\n1,0.25\n")
     ds = load_dataset(p, schema=schema_path)
-    assert ds.factors[0].name == "z_1" and ds.factors[0].cardinality == 2
+    assert ds.factor_names == ("z_1",) and ds.cardinalities == (2,)
     schema = load_schema(schema_path)
     assert list(schema) == ["c_1", "z_1"]
+
+
+def test_zero_cardinality_is_a_schema_error_inline_and_in_schema(tmp_path):
+    p = write(tmp_path / "d.csv", "z:d0,c\n0,0.5\n")
+    with pytest.raises(SchemaError, match="cardinality must be >= 1"):
+        load_dataset(p)
+    p = write(tmp_path / "e.csv", "z,c\n0,0.5\n")
+    with pytest.raises(SchemaError, match="cardinality must be >= 1"):
+        load_dataset(p, schema={"z": "factor:d0", "c": "latent"})
 
 
 def test_schema_missing_column(tmp_path):
@@ -87,39 +95,75 @@ def test_duplicate_column_names_rejected(tmp_path, schema):
         load_dataset(p, schema=schema)
 
 
+def _discrete_dataset(n=2000, seed=3):
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([rng.uniform(-1, 1, n), rng.integers(0, 4, n), rng.integers(0, 2, n)])
+    return RepresentationDataset(z, z @ rng.standard_normal((3, 2)), ("pos", "shape", "flip"), ("a", "b"),
+                                 (None, 4, 2))
+
+
 def test_roundtrip_bit_identical(tmp_path):
-    ds = synth.gen_sap_nonlinear(n=10000, seed=3)
     path = tmp_path / "d.csv"
-    save_dataset(ds, str(path))
-    back = load_dataset(str(path))
-    assert np.array_equal(back.factor_matrix(), ds.factor_matrix())
-    assert np.array_equal(back.latent_matrix(), ds.latent_matrix())
-    assert back.factor_names == ds.factor_names
-    assert back.latent_names == ds.latent_names
+    for ds in (synth.gen_sap_nonlinear(n=10000, seed=3), _discrete_dataset()):
+        save_dataset(ds, str(path))
+        back = load_dataset(str(path))
+        assert np.array_equal(back.factor_matrix().view(np.uint64), ds.factor_matrix().view(np.uint64))
+        assert np.array_equal(back.latent_matrix().view(np.uint64), ds.latent_matrix().view(np.uint64))
+        assert back.factor_names == ds.factor_names
+        assert back.latent_names == ds.latent_names
+        assert back.cardinalities == ds.cardinalities
+
+
+def test_dataset_stores_frozen_c_ordered_matrices():
+    z = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    ds = RepresentationDataset(z, [[1], [2], [3]])
+    for m in (ds.factors, ds.latents):
+        assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
+    assert np.array_equal(ds.factors, z) and ds.factors is not z
+    assert ds.latent_matrix() is ds.latents and ds.factor_matrix() is ds.factors
+    assert (ds.n, ds.n_factors, ds.n_latents) == (3, 2, 1)
+    assert ds.factor_names == ("z1", "z2") and ds.latent_names == ("c1",)
+    assert ds.cardinalities == (None, None)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"factors": [1.0, 2.0]},
+    {"factor_names": ["only_one"]},
+    {"latent_names": ["a", "b"]},
+    {"cardinalities": [3]},
+    {"cardinalities": [0, None]},
+])
+def test_dataset_rejects_bad_shapes_and_metadata(kwargs):
+    args = {"factors": np.zeros((2, 2)), "latents": np.zeros((2, 1)), **kwargs}
+    with pytest.raises(ValueError):
+        RepresentationDataset(**args)
 
 
 def test_validate_passes_well_formed():
-    ds = RepresentationDataset(
-        (FactorColumn("z1", [0.0, 1.0], kind="discrete", cardinality=2),),
-        (LatentColumn("c1", [0.5, 0.25]),),
-    )
+    ds = RepresentationDataset([[0.0], [1.0]], [[0.5], [0.25]], cardinalities=[2])
     assert validate(ds) == []
 
 
 def test_validate_length_mismatch():
-    ds = RepresentationDataset(
-        (FactorColumn("z1", [0.0, 1.0]),),
-        (LatentColumn("c1", [0.5, 0.25, 0.75]),),
-    )
+    ds = RepresentationDataset([[0.0], [1.0]], [[0.5, 0.1], [0.25, 0.2], [0.75, 0.3]])
     issues = validate(ds)
-    assert any("length mismatch" in str(i) for i in issues)
+    assert [(i.column, i.row, i.message) for i in issues] == [
+        ("c1", None, "length mismatch"), ("c2", None, "length mismatch")]
+
+
+def test_validate_lists_issues_column_by_column():
+    z = np.array([[0.0, np.nan], [7.0, 0.5], [np.inf, 1.5]])
+    c = np.array([[np.nan, 0.0], [0.5, -np.inf], [0.5, np.nan]])
+    issues = validate(RepresentationDataset(z, c, cardinalities=[3, None]))
+    assert [(i.column, i.row, i.message) for i in issues] == [
+        ("z1", 3, "non-finite value"), ("z2", 1, "non-finite value"),
+        ("c1", 1, "non-finite value"), ("c2", 2, "non-finite value"), ("c2", 3, "non-finite value"),
+        ("z1", 2, "value np.float64(7.0) outside discrete range 0..2"),
+    ]
 
 
 def test_validate_discrete_out_of_range_names_cell():
-    ds = RepresentationDataset(
-        (FactorColumn("z1", [0.0, 5.0, 1.0], kind="discrete", cardinality=3),),
-        (LatentColumn("c1", [0.5, 0.25, 0.1]),),
-    )
+    ds = RepresentationDataset([[0.0], [5.0], [1.0]], [[0.5], [0.25], [0.1]], cardinalities=[3])
     issues = validate(ds)
     assert len(issues) == 1
     assert issues[0].column == "z1" and issues[0].row == 2
@@ -157,6 +201,8 @@ def test_matrix_bad_files(tmp_path):
         load_matrix(write(tmp_path / "b.matrix", "nonsense\n"))
     with pytest.raises(ParseError):
         load_matrix(write(tmp_path / "c.matrix", "2,1\n1.0,1.0\n0.1,0.2,0.3\n"))
+    with pytest.raises(ParseError, match="K and N must be >= 1"):
+        load_matrix(write(tmp_path / "d.matrix", "2,-1\n"))
 
 
 def test_informativeness_matrix_invariants():
@@ -205,3 +251,9 @@ def test_report_json_stable():
     assert '"metric": "mig"' in text
     payload = reports_to_json([report])
     assert payload.startswith("[")
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from disentmetrics import *", namespace)  # AttributeError for a stale name
+    assert set(disentmetrics.__all__) <= set(namespace)

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from disentmetrics import synth
-from disentmetrics.core import (
-    DegenerateLabelsError,
-    FactorColumn,
-    LatentColumn,
-    RepresentationDataset,
-)
+from disentmetrics.core import DegenerateLabelsError, RepresentationDataset
 from disentmetrics.estimators import (
     BinningSpec,
     ClassifierConfig,
     ForestConfig,
     discretize,
     entropy,
-    feature_importances,
     fit_linear_classifier,
     importance_matrix_from_dataset,
     informativeness_from_mi,
@@ -109,10 +103,7 @@ def test_mi_length_mismatch():
 def test_informativeness_identity_discrete():
     rng = np.random.default_rng(1)
     z = rng.integers(0, 8, size=4000).astype(float)
-    ds = RepresentationDataset(
-        (FactorColumn("z1", z, kind="discrete", cardinality=8),),
-        (LatentColumn("c1", z.copy()),),
-    )
+    ds = RepresentationDataset(z[:, None], z[:, None], cardinalities=[8])
     m = informativeness_from_mi(ds)
     assert m.provenance == "mutual_information"
     assert m.values[0, 0] == pytest.approx(math.log(8), abs=0.01)
@@ -244,13 +235,13 @@ def test_classifier_weights_match_row_max_reference(n_classes):
 
 def test_majority_vote_basic():
     table = majority_vote([(0, 1)] * 10, n_latents=2, n_factors=3)
-    assert table.predict(0) == 1
+    assert table.predictions[0] == 1
     assert table.votes[0, 1] == 10 and table.votes.sum() == 10
 
 
 def test_majority_vote_tie_breaks_low():
     table = majority_vote([(0, 1)] * 5 + [(0, 2)] * 5)
-    assert table.predict(0) == 1
+    assert table.predictions[0] == 1
 
 
 def test_majority_vote_training_accuracy_identity():
@@ -269,30 +260,30 @@ def test_majority_vote_empty():
 # --- feature importances ----------------------------------------------------
 
 
+def _importances(dataset, method="forest", config=None):
+    """Importance of each latent for the first factor."""
+    return importance_matrix_from_dataset(dataset, method, config)[0].values[:, 0]
+
+
 def _single_informative_dataset(n=4000, seed=0):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1, 1, n)
     latents = [rng.standard_normal(n) for _ in range(4)]
     latents[3] = z.copy()
-    return RepresentationDataset(
-        (FactorColumn("z1", z),),
-        tuple(LatentColumn(f"c{i + 1}", v) for i, v in enumerate(latents)),
-    )
+    return RepresentationDataset(z[:, None], np.column_stack(latents))
 
 
 def test_forest_single_informative_feature():
-    imp = feature_importances(_single_informative_dataset(), 0, "forest", ForestConfig(seed=5))
+    imp = _importances(_single_informative_dataset(), "forest", ForestConfig(seed=5))
     assert imp[3] / imp.sum() > 0.95
 
 
 def test_forest_null_baseline():
     rng = np.random.default_rng(7)
     n = 3000
-    ds = RepresentationDataset(
-        (FactorColumn("z1", rng.uniform(-1, 1, n)),),
-        tuple(LatentColumn(f"c{i + 1}", rng.standard_normal(n)) for i in range(4)),
-    )
-    imp = feature_importances(ds, 0, "forest", ForestConfig(seed=5))
+    z = rng.uniform(-1, 1, n)
+    ds = RepresentationDataset(z[:, None], np.column_stack([rng.standard_normal(n) for _ in range(4)]))
+    imp = _importances(ds, "forest", ForestConfig(seed=5))
     assert (imp <= 2 / 4 + 0.1).all()
 
 
@@ -301,37 +292,31 @@ def test_forest_symmetric_carriers():
     n = 4000
     c1 = rng.standard_normal(n)
     c2 = rng.standard_normal(n)
-    ds = RepresentationDataset(
-        (FactorColumn("z1", c1 + c2),),
-        (LatentColumn("c1", c1), LatentColumn("c2", c2), LatentColumn("c3", rng.standard_normal(n))),
-    )
-    imp = feature_importances(ds, 0, "forest", ForestConfig(seed=5))
+    ds = RepresentationDataset((c1 + c2)[:, None], np.column_stack([c1, c2, rng.standard_normal(n)]))
+    imp = _importances(ds, "forest", ForestConfig(seed=5))
     assert abs(imp[0] - imp[1]) < 0.15
 
 
 def test_forest_constant_factor_all_zero():
     rng = np.random.default_rng(9)
-    ds = RepresentationDataset(
-        (FactorColumn("z1", np.full(100, 2.0)),),
-        (LatentColumn("c1", rng.standard_normal(100)), LatentColumn("c2", rng.standard_normal(100))),
-    )
-    imp = feature_importances(ds, 0, "forest", ForestConfig(seed=5))
+    ds = RepresentationDataset(np.full((100, 1), 2.0), np.column_stack([rng.standard_normal(100) for _ in range(2)]))
+    imp = _importances(ds, "forest", ForestConfig(seed=5))
     assert (imp == 0).all()
 
 
 def test_forest_bit_reproducible():
     ds = _single_informative_dataset(n=800, seed=3)
-    a = feature_importances(ds, 0, "forest", ForestConfig(seed=11))
-    b = feature_importances(ds, 0, "forest", ForestConfig(seed=11))
+    a = _importances(ds, "forest", ForestConfig(seed=11))
+    b = _importances(ds, "forest", ForestConfig(seed=11))
     assert np.array_equal(a, b)
 
 
 def test_forest_permutation_equivariant():
     ds = _single_informative_dataset(n=1500, seed=4)
     perm = [2, 0, 3, 1]
-    permuted = RepresentationDataset(ds.factors, tuple(ds.latents[i] for i in perm))
-    imp = feature_importances(ds, 0, "forest", ForestConfig(seed=5))
-    imp_perm = feature_importances(permuted, 0, "forest", ForestConfig(seed=5))
+    permuted = RepresentationDataset(ds.factors, ds.latents[:, perm])
+    imp = _importances(ds, "forest", ForestConfig(seed=5))
+    imp_perm = _importances(permuted, "forest", ForestConfig(seed=5))
     assert np.array_equal(imp_perm, imp[perm])
 
 
@@ -348,14 +333,14 @@ def test_forest_config_accepts_edges():
 
 
 def test_lasso_single_informative_feature():
-    imp = feature_importances(_single_informative_dataset(n=2000, seed=6), 0, "lasso")
+    imp = _importances(_single_informative_dataset(n=2000, seed=6), "lasso")
     assert np.argmax(imp) == 3
     assert imp[3] > 10 * (imp[:3].max() + 1e-12)
 
 
 def test_unknown_method():
     with pytest.raises(ValueError):
-        feature_importances(_single_informative_dataset(n=100), 0, "boost")
+        _importances(_single_informative_dataset(n=100), "boost")
 
 
 # --- forest bit pin ---------------------------------------------------------
@@ -430,8 +415,8 @@ def _ref_forest_importances(latents, target, config):
 def _ref_importance_matrix(dataset, config):
     latents = dataset.latent_matrix()
     columns, masses = [], []
-    for f in dataset.factors:
-        raw, mass = _ref_forest_importances(latents, f.values.astype(np.float64), config)
+    for j in range(dataset.n_factors):
+        raw, mass = _ref_forest_importances(latents, dataset.factors[:, j].copy(), config)
         total = raw.sum()
         columns.append(raw / total if total > 0 else raw)
         masses.append(mass)
@@ -454,19 +439,19 @@ def _bit_pin_case(i):
         latents = np.round(latents, 1)
     if i % 4 == 1:
         latents[:, 0] = rng.integers(0, 4, n)
-    factors = []
+    factors, cards = [], []
     for j in range(n_factors):
         if (i + j) % 2:
             card = int(rng.integers(2, 6))
-            values = np.digitize(latents[:, j % n_latents], np.linspace(-1.0, 1.0, card - 1))
-            factors.append(FactorColumn(f"z{j}", values, kind="discrete", cardinality=card))
+            factors.append(np.digitize(latents[:, j % n_latents], np.linspace(-1.0, 1.0, card - 1)))
+            cards.append(card)
         else:
             values = latents @ rng.standard_normal(n_latents) + 0.3 * rng.standard_normal(n)
-            factors.append(FactorColumn(f"z{j}", np.round(values, 2)))
-    latent_cols = tuple(LatentColumn(f"c{k}", latents[:, k]) for k in range(n_latents))
+            factors.append(np.round(values, 2))
+            cards.append(None)
     config = ForestConfig(n_trees=int(rng.integers(1, 6)), max_depth=depth,
                           bag_fraction=float(rng.uniform(0.3, 1.0)), seed=i)
-    return RepresentationDataset(tuple(factors), latent_cols), config
+    return RepresentationDataset(np.column_stack(factors), latents, cardinalities=cards), config
 
 
 def _assert_bits_match_reference(dataset, config):

@@ -3,9 +3,7 @@ import pytest
 
 from disentmetrics import metrics, synth
 from disentmetrics.core import (
-    FactorColumn,
     InformativenessMatrix,
-    LatentColumn,
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
@@ -108,17 +106,14 @@ def test_sap_discrete_factor_uses_stump():
     rng = np.random.default_rng(4)
     z = rng.integers(0, 2, 2000).astype(float)
     c1 = z + 0.01 * rng.standard_normal(2000)
-    ds = RepresentationDataset(
-        (FactorColumn("z1", z, kind="discrete", cardinality=2),),
-        (LatentColumn("c1", c1), LatentColumn("c2", rng.standard_normal(2000))),
-    )
+    ds = RepresentationDataset(z[:, None], np.column_stack([c1, rng.standard_normal(2000)]), cardinalities=[2])
     report = sap_score(ds)
     assert report.score > 0.9
 
 
 def test_sap_needs_two_latents():
     ds = synth.gen_identity_oracle(n_factors=2, seed=1).sample_dataset(100)
-    single = RepresentationDataset(ds.factors, ds.latents[:1])
+    single = RepresentationDataset(ds.factors, ds.latents[:, :1])
     with pytest.raises(NotComputableError):
         sap_score(single)
 
@@ -384,7 +379,7 @@ def test_matrix_metrics_permutation_invariant_exact():
 def test_dataset_metrics_permutation_invariant():
     ds = synth.gen_sap_duplicate(n=2000, seed=8)
     perm = [2, 0, 1]
-    permuted = RepresentationDataset(ds.factors, tuple(ds.latents[i] for i in perm))
+    permuted = RepresentationDataset(ds.factors, ds.latents[:, perm])
     assert sap_score(ds).score == sap_score(permuted).score
     i_a = informativeness_from_mi(ds)
     i_b = informativeness_from_mi(permuted)
@@ -396,10 +391,7 @@ def test_dataset_metrics_row_shuffle_invariant():
     ds = synth.gen_sap_duplicate(n=2000, seed=8)
     rng = np.random.default_rng(0)
     rows = rng.permutation(ds.n)
-    shuffled = RepresentationDataset(
-        tuple(FactorColumn(f.name, f.values[rows], f.kind, f.cardinality) for f in ds.factors),
-        tuple(LatentColumn(c.name, c.values[rows]) for c in ds.latents),
-    )
+    shuffled = RepresentationDataset(ds.factors[rows], ds.latents[rows])
     # row order only affects float summation order, never the statistics
     assert sap_score(shuffled).score == pytest.approx(sap_score(ds).score, abs=1e-9)
     assert mig_score(informativeness_from_mi(shuffled)).score == pytest.approx(
@@ -412,8 +404,7 @@ def test_dataset_metrics_row_shuffle_invariant():
 def test_duplicate_latent_asymmetry():
     ds = synth.gen_disentangled(3, n=5000, noise_std=0.0, map_kind="linear", seed=6)
     base = informativeness_from_mi(ds)
-    duplicated = RepresentationDataset(
-        ds.factors, ds.latents + (LatentColumn("c_copy", ds.latents[0].values),))
+    duplicated = RepresentationDataset(ds.factors, np.column_stack([ds.latents, ds.latents[:, 0]]))
     dup = informativeness_from_mi(duplicated)
     copied_factor = int(np.argmax(base.values[0]))
     assert abs(three_charm_score(dup).score - three_charm_score(base).score) <= 1e-9
@@ -457,42 +448,35 @@ def test_evaluate_all_unknown_metric():
 
 def test_evaluate_all_marks_not_computable_with_reason():
     ds = synth.gen_sap_nonlinear(n=200, seed=2)
-    single = RepresentationDataset(ds.factors, ds.latents[:1])
+    single = RepresentationDataset(ds.factors, ds.latents[:, :1])
     reports = evaluate_all(single, metrics=["mig", "sap"])
     assert all(r.skipped for r in reports)
     assert all("latent" in r.skip_reason for r in reports)
 
 
 def test_evaluate_all_one_row_dataset_skips_every_dataset_metric():
-    one_row = RepresentationDataset(
-        (FactorColumn("z1", np.array([0.5])),),
-        (LatentColumn("c1", np.array([0.1])), LatentColumn("c2", np.array([0.2]))),
-    )
+    one_row = RepresentationDataset([[0.5]], [[0.1, 0.2]])
     reports = evaluate_all(one_row, metrics=["dci", "sap", "mig", "3charm"])
     assert [r.metric for r in reports] == ["dci", "sap", "mig", "3charm"]
     assert all(r.skipped and r.skip_reason for r in reports)
 
 
-def _with_first_latent(ds, values):
-    return RepresentationDataset(ds.factors, (LatentColumn("c1", values),) + ds.latents[1:])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_all_rejects_non_finite_dataset(bad):
     ds = synth.gen_sap_nonlinear(n=10, seed=2)
-    values = ds.latents[0].values.copy()
-    values[3] = bad
+    latents = ds.latents.copy()
+    latents[3, 0] = bad
     with pytest.raises(ValidationError) as info:
-        evaluate_all(_with_first_latent(ds, values), metrics=["dci", "mig"])
+        evaluate_all(RepresentationDataset(ds.factors, latents), metrics=["dci", "mig"])
     assert [(i.column, i.row, i.message) for i in info.value.issues] == [("c1", 4, "non-finite value")]
 
 
 def test_evaluate_all_rejects_unequal_column_lengths():
     ds = synth.gen_sap_nonlinear(n=10, seed=2)
-    short = _with_first_latent(ds, ds.latents[0].values[:9])
+    short = RepresentationDataset(ds.factors, ds.latents[:9])
     with pytest.raises(ValidationError) as info:
         evaluate_all(short, metrics=["dci"])
-    assert [(i.column, i.message) for i in info.value.issues] == [("c1", "length mismatch")]
+    assert [(i.column, i.message) for i in info.value.issues] == [("c1", "length mismatch"), ("c2", "length mismatch")]
 
 
 def test_evaluate_all_rejects_non_finite_oracle_latent():
@@ -510,7 +494,7 @@ def test_evaluate_all_rejects_non_finite_oracle_latent():
 
 def test_evaluate_all_missing_column_group_still_skips():
     ds = synth.gen_sap_nonlinear(n=50, seed=2)
-    reports = evaluate_all(RepresentationDataset(ds.factors, ()), metrics=["dci", "sap", "mig"])
+    reports = evaluate_all(RepresentationDataset(ds.factors, np.empty((ds.n, 0))), metrics=["dci", "sap", "mig"])
     assert all(r.skipped and r.skip_reason for r in reports)
 
 

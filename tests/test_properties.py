@@ -1,13 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from disentmetrics.analysis import spearman
 from disentmetrics.core import (
-    FactorColumn,
     InformativenessMatrix,
-    LatentColumn,
     MetricsError,
     RepresentationDataset,
 )
@@ -147,17 +146,16 @@ def paired_datasets(draw):
     n, k, n_latents = draw(st.integers(20, 150)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
     z = rng.uniform(-1.0, 1.0, size=(n, k))
     c = np.round(z @ rng.standard_normal((k, n_latents)) + 0.3 * rng.standard_normal((n, n_latents)), 3)
-    factors = [FactorColumn(f"z{j + 1}", z[:, j]) for j in range(k)]
+    cards = [None] * k
     if draw(st.booleans()):
-        factors[-1] = FactorColumn(f"z{k}", np.digitize(z[:, -1], [-0.3, 0.3]), kind="discrete", cardinality=3)
-    latents = [LatentColumn(f"c{i + 1}", c[:, i]) for i in range(n_latents)]
-    return RepresentationDataset(factors, latents)
+        z[:, -1], cards[-1] = np.digitize(z[:, -1], [-0.3, 0.3]), 3
+    return RepresentationDataset(z, c, cardinalities=cards)
 
 
 def _with_latent(dataset, i, values):
-    latents = list(dataset.latents)
-    latents[i] = LatentColumn(latents[i].name, values)
-    return RepresentationDataset(dataset.factors, latents)
+    latents = dataset.latents.copy()
+    latents[:, i] = values
+    return replace(dataset, latents=latents)
 
 
 def _keeps_ties(a, b):
@@ -171,7 +169,7 @@ def _keeps_ties(a, b):
 def test_permuting_latents_leaves_dataset_metrics_unchanged(dataset, rnd):
     perm = list(range(dataset.n_latents))
     rnd.shuffle(perm)
-    permuted = RepresentationDataset(dataset.factors, [dataset.latents[i] for i in perm])
+    permuted = replace(dataset, latents=dataset.latents[:, perm])
     names = ["sap", "mig", "3charm"]
     scores = [r.score for r in evaluate_all(dataset, metrics=names)]
     assert [r.score for r in evaluate_all(permuted, metrics=names)] == scores
@@ -188,7 +186,7 @@ def test_sap_unchanged_under_affine_latent_rescaling(dataset, data):
     i = data.draw(st.integers(0, dataset.n_latents - 1))
     scale = data.draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 10.0]))
     shift = data.draw(st.sampled_from([-5.0, 0.0, 1.5]))
-    values = dataset.latents[i].values
+    values = dataset.latents[:, i]
     rescaled = scale * values + shift
     assume(_keeps_ties(values, rescaled))
     before = sap_score(dataset).score
@@ -200,7 +198,7 @@ def test_sap_unchanged_under_affine_latent_rescaling(dataset, data):
 def test_mig_and_3charm_unchanged_under_increasing_latent_maps(dataset, data):
     i = data.draw(st.integers(0, dataset.n_latents - 1))
     transform = data.draw(st.sampled_from([lambda v: v**3, np.arctan, lambda v: np.exp(v / 4.0)]))
-    values = dataset.latents[i].values
+    values = dataset.latents[:, i]
     mapped = transform(values)
     assume(_keeps_ties(values, mapped))
     spec = BinningSpec("quantile", data.draw(st.integers(2, 20)))
@@ -221,16 +219,16 @@ def degenerate_datasets(draw):
     pool = draw(st.lists(st.integers(-2000, 2000).map(lambda i: i / 4), min_size=1, max_size=3))
     values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
     discrete_only = draw(st.booleans())
-    factors = []
-    for j in range(draw(st.integers(1, 3))):
+    factors, cards = [], []
+    for _ in range(draw(st.integers(1, 3))):
         if discrete_only or draw(st.booleans()):
-            cardinality = draw(st.integers(1, 30))
-            labels = draw(st.lists(st.integers(0, cardinality - 1), min_size=n, max_size=n))
-            factors.append(FactorColumn(f"z{j + 1}", labels, kind="discrete", cardinality=cardinality))
+            cards.append(draw(st.integers(1, 30)))
+            factors.append(draw(st.lists(st.integers(0, cards[-1] - 1), min_size=n, max_size=n)))
         else:
-            factors.append(FactorColumn(f"z{j + 1}", draw(values)))
-    latents = [LatentColumn(f"c{i + 1}", draw(values)) for i in range(draw(st.integers(1, 3)))]
-    return RepresentationDataset(factors, latents)
+            cards.append(None)
+            factors.append(draw(values))
+    latents = [draw(values) for _ in range(draw(st.integers(1, 3)))]
+    return RepresentationDataset(np.column_stack(factors), np.column_stack(latents), cardinalities=cards)
 
 
 @given(degenerate_datasets())

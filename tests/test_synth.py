@@ -84,8 +84,8 @@ def test_sap_nonlinear_mig_stays_high():
 
 def test_sap_duplicate_carries_information():
     ds = synth.gen_sap_duplicate(n=10000, seed=11)
-    c2 = discretize(ds.latents[1].values)
-    z1 = discretize(ds.factors[0].values)
+    c2 = discretize(ds.latents[:, 1])
+    z1 = discretize(ds.factors[:, 0])
     assert mutual_information(c2, z1) > 0.1
     assert three_charm_score(informativeness_from_mi(ds)).score >= 0.8
 
