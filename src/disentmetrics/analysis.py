@@ -86,8 +86,7 @@ def _rep_label(rep, index):
     return f"rep_{index}"
 
 
-def correlate_metrics(population, metrics=None, config=metrics_mod.InterventionConfig(),
-                      binning=BinningSpec(), importance_method="forest"):
+def correlate_metrics(population, metrics=None, binning=BinningSpec(), importance_method="forest"):
     """Evaluate every metric on every representation, then return the
     metric-by-metric Spearman matrix together with the raw population.
 
@@ -103,8 +102,7 @@ def correlate_metrics(population, metrics=None, config=metrics_mod.InterventionC
     for rep in population:
         dataset = _resolve_representation(rep)
         reports = metrics_mod.evaluate_all(
-            dataset, metrics=selection, config=config,
-            binning=binning, importance_method=importance_method,
+            dataset, metrics=selection, binning=binning, importance_method=importance_method,
         )
         columns.append({r.metric: r for r in reports})
 

@@ -1,8 +1,9 @@
 """Command-line surface: eval, gen, reproduce, sweep, correlate, compare.
 
-Every run is deterministic for a fixed seed (the default seed is the
-constant 7, never wall-clock), and output files are written atomically
-(write-then-rename) so failed runs leave nothing behind.
+Each subcommand takes only the flags it reads; every one takes
+``--out/-o``. Every run is deterministic for a fixed seed (the default
+seed is the constant 7, never wall-clock), and output files are written
+atomically (write-then-rename) so failed runs leave nothing behind.
 """
 
 import argparse
@@ -33,13 +34,17 @@ def _emit(text, out_path):
         print(text)
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"PRNG seed (default {DEFAULT_SEED}, fixed, never wall-clock)")
-    parser.add_argument("--bins", type=int, default=20, help="histogram bin count (default 20)")
-    parser.add_argument("--bin-strategy", choices=("quantile", "equal_width"), default="quantile")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default=None,
-                        help="output format (default: json for eval/compare, table for reproduce, csv for sweep/correlate)")
+def _flags(parser, seed=False, binning=False, fmt=None):
+    """Add the shared flags a subcommand reads; every subcommand takes ``--out``."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                            help=f"PRNG seed (default {DEFAULT_SEED}, fixed, never wall-clock)")
+    if binning:
+        parser.add_argument("--bins", type=int, default=20, help="histogram bin count (default 20)")
+        parser.add_argument("--bin-strategy", choices=("quantile", "equal_width"), default="quantile")
+    if fmt:
+        parser.add_argument("--format", choices=("json", "csv", "table"), default=fmt,
+                            help=f"output format (default {fmt})")
     parser.add_argument("--out", "-o", default=None, help="write output to this file instead of stdout")
 
 
@@ -110,10 +115,9 @@ def cmd_eval(args):
         for r in reports:
             if r.skipped:
                 raise MetricsError(f"metric {r.metric!r} not computable on this input: {r.skip_reason}")
-    fmt = args.format or "json"
-    if fmt == "json":
+    if args.format == "json":
         _emit(reports_to_json(reports), args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(_reports_csv(reports), args.out)
     else:
         _emit(_reports_table(reports), args.out)
@@ -152,10 +156,9 @@ def _repro_table(rows):
 def cmd_reproduce(args):
     results = reproduce.run(args.case)
     rows = [r.row() for r in results]
-    fmt = args.format or "table"
-    if fmt == "json":
+    if args.format == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = ["case,seed,expected,tolerance,observed,status"]
         for r in rows:
             seed = "" if r["seed"] is None else r["seed"]
@@ -191,8 +194,6 @@ def cmd_sweep(args):
 
 
 def cmd_correlate(args):
-    if args.family != "entangled":
-        raise ValueError(f"unknown family {args.family!r} (known: entangled)")
     count = args.count
     if count < 5:
         raise ValueError("need at least 5 representations")
@@ -251,7 +252,7 @@ def build_parser():
     p_eval.add_argument("--eval-points", type=int, default=2000)
     p_eval.add_argument("--batch-size", type=int, default=128)
     p_eval.add_argument("--importance-method", choices=("forest", "lasso"), default="forest")
-    _common_flags(p_eval)
+    _flags(p_eval, seed=True, binning=True, fmt="json")
     p_eval.set_defaults(func=cmd_eval)
 
     p_gen = sub.add_parser("gen", help="generate a dataset from a registered generator spec")
@@ -259,23 +260,22 @@ def build_parser():
                        help="generator spec, e.g. entangled:level=0.5,K=5 (known: "
                             + ", ".join(sorted(synth.GENERATORS)) + ")")
     p_gen.add_argument("--n", type=int, default=10000, help="sample count (default 10000)")
-    _common_flags(p_gen)
+    _flags(p_gen, seed=True)
     p_gen.set_defaults(func=cmd_gen)
 
     p_repro = sub.add_parser("reproduce", help="re-run pinned counterexamples against their targets")
     p_repro.add_argument("case", nargs="?", default="all",
                          help="case name or 'all' (known: " + ", ".join(sorted(reproduce.CASES)) + ")")
-    _common_flags(p_repro)
+    _flags(p_repro, fmt="table")
     p_repro.set_defaults(func=cmd_reproduce)
 
     p_sweep = sub.add_parser("sweep", help="score the two-parameter matrix family over a grid")
     p_sweep.add_argument("--eps", required=True, help="comma-separated eps grid in [0,1]")
     p_sweep.add_argument("--eps1", required=True, help="comma-separated eps1 grid in [0,1]")
-    _common_flags(p_sweep)
+    _flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_corr = sub.add_parser("correlate", help="Spearman correlation of metrics over a generated population")
-    p_corr.add_argument("--family", default="entangled")
+    p_corr = sub.add_parser("correlate", help="Spearman correlation of metrics over entangled representations")
     p_corr.add_argument("--count", type=int, default=50)
     p_corr.add_argument("--factors", type=int, default=4)
     p_corr.add_argument("--n", type=int, default=2000, help="samples per representation")
@@ -283,7 +283,7 @@ def build_parser():
                         + ",".join(metrics.DATASET_METRICS) + ")")
     p_corr.add_argument("--importance-method", choices=("forest", "lasso"), default="forest")
     p_corr.add_argument("--population-out", help="write the raw population JSON here")
-    _common_flags(p_corr)
+    _flags(p_corr, seed=True, binning=True)
     p_corr.set_defaults(func=cmd_correlate)
 
     p_cmp = sub.add_parser("compare", help="per-metric preference between two representations")
@@ -291,7 +291,7 @@ def build_parser():
     p_cmp.add_argument("--builtin", choices=("mig-vs-3charm", "dci-vs-3charm"),
                        help="use a built-in constructed matrix pair")
     p_cmp.add_argument("--metrics", help="comma-separated metric selection")
-    _common_flags(p_cmp)
+    _flags(p_cmp, binning=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

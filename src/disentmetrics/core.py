@@ -21,13 +21,14 @@ oracles from a seed via ``reseeded``.
 import csv
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_SEED = 7
 
-PROVENANCES = ("mutual_information", "linear_r2", "importance", "external")
+PROVENANCES = ("mutual_information", "external")
 
 
 class MetricsError(Exception):
@@ -240,40 +241,40 @@ def load_dataset(path, schema=None):
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: missing header row") from None
-        header = [h.strip() for h in header]
-        rows = list(reader)
+        parsed = [_split_header_token(tok.strip()) for tok in header]
+        names = [name for name, _ in parsed]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SchemaError(f"duplicate column {name!r} in header")
+        if schema is not None:
+            for name in names:
+                if name not in schema:
+                    raise SchemaError(f"column {name!r} missing from schema")
+            for name in schema:
+                if name not in names:
+                    raise SchemaError(f"schema column {name!r} missing from file")
+            roles = {name: _parse_role(schema[name]) for name in names}
+            order = [n for n in schema if n in names]
+        else:
+            roles = dict(parsed)
+            order = names
 
-    parsed = [_split_header_token(tok) for tok in header]
-    names = [name for name, _ in parsed]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise SchemaError(f"duplicate column {name!r} in header")
-    if schema is not None:
-        for name in names:
-            if name not in schema:
-                raise SchemaError(f"column {name!r} missing from schema")
-        for name in schema:
-            if name not in names:
-                raise SchemaError(f"schema column {name!r} missing from file")
-        roles = {name: _parse_role(schema[name]) for name in names}
-        order = [n for n in schema if n in names]
-    else:
-        roles = dict(parsed)
-        order = names
-
-    table = np.empty((len(rows), len(names)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != len(names):
-            raise ParseError(f"row {r + 1} has {len(row)} cells, expected {len(names)}", row=r + 1)
-        for c, cell in enumerate(row):
-            try:
-                table[r, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric cell {cell!r} at row {r + 1}, column {names[c]}",
-                    row=r + 1,
-                    column=names[c],
-                ) from None
+        # parse each row as it is read: only the float64 values are held
+        cells = array("d")
+        n_rows = 0
+        for n_rows, row in enumerate(reader, start=1):
+            if len(row) != len(names):
+                raise ParseError(f"row {n_rows} has {len(row)} cells, expected {len(names)}", row=n_rows)
+            for c, cell in enumerate(row):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric cell {cell!r} at row {n_rows}, column {names[c]}",
+                        row=n_rows,
+                        column=names[c],
+                    ) from None
+    table = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(names))
 
     factors = [name for name in order if roles[name][0] == "factor"]
     latents = [name for name in order if roles[name][0] == "latent"]
@@ -424,24 +425,17 @@ class RepresentationOracle:
     marginal and shared by the whole batch.
     """
 
-    def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED,
-                 name="oracle", params=None, default_n=10000):
+    def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):
         self.n_factors = int(n_factors)
         self.n_latents = int(n_latents)
         self._factor_sampler = factor_sampler
         self._encoder = encoder
         self.seed = seed
-        self.name = name
-        self.params = dict(params or {})
-        self.default_n = int(default_n)
         self._rng = np.random.default_rng(seed)
 
     def reseeded(self, seed):
         """Same generative structure, fresh RNG stream."""
-        return RepresentationOracle(
-            self.n_factors, self.n_latents, self._factor_sampler, self._encoder,
-            seed=seed, name=self.name, params=self.params, default_n=self.default_n,
-        )
+        return RepresentationOracle(self.n_factors, self.n_latents, self._factor_sampler, self._encoder, seed)
 
     def sample(self, n, fixed_factor=None, fixed_value=None):
         """Draw n (z, c) pairs; optionally pin one factor.
@@ -491,9 +485,9 @@ class RepresentationOracle:
         c = self._encoder(self._rng, z.reshape(-1, k))
         return c.reshape(*z.shape[:-1], self.n_latents)
 
-    def sample_dataset(self, n=None):
+    def sample_dataset(self, n):
         """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""
-        return RepresentationDataset(*self.sample(self.default_n if n is None else int(n)))
+        return RepresentationDataset(*self.sample(n))
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,33 @@ def discretize(values, spec=BinningSpec()):
     return np.clip(labels, 0, spec.bin_count - 1)
 
 
+def _coded(labels):
+    """(codes, count): each label's index among the sorted distinct labels."""
+    _, codes = np.unique(labels, return_inverse=True)
+    return codes, int(codes.max()) + 1
+
+
+def _entropy(codes, count):
+    p = np.bincount(codes, minlength=count) / codes.size
+    return float(-(p * np.log(p)).sum())
+
+
+def _mutual_information(a, b):
+    (ia, na), (ib, nb) = a, b
+    joint = np.bincount(ia * nb + ib, minlength=na * nb).reshape(na, nb) / ia.size
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    mi = float((joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum())
+    return max(mi, 0.0)
+
+
 def entropy(labels):
     """Plug-in entropy -sum p ln p (nats) over observed labels."""
     a = np.asarray(labels)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("labels must be a non-empty 1-d sequence")
-    _, counts = np.unique(a, return_counts=True)
-    p = counts / a.size
-    return float(-(p * np.log(p)).sum())
+    return _entropy(*_coded(a))
 
 
 def mutual_information(a, b):
@@ -87,16 +106,7 @@ def mutual_information(a, b):
         raise ValueError("label sequences must be 1-d and of equal length")
     if a.size == 0:
         raise ValueError("label sequences must be non-empty")
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    na = int(ia.max()) + 1
-    nb = int(ib.max()) + 1
-    joint = np.bincount(ia * nb + ib, minlength=na * nb).reshape(na, nb) / a.size
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    nz = joint > 0
-    mi = float((joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum())
-    return max(mi, 0.0)
+    return _mutual_information(_coded(a), _coded(b))
 
 
 def encode_factor(values, cardinality, spec=BinningSpec()):
@@ -115,14 +125,14 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
     I[i, j] = H(z_j) exactly.
     """
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
-    factor_labels = [encode_factor(z, card, spec) for z, card in zip(factors, dataset.cardinalities)]
-    latent_labels = [discretize(c, spec) for c in latents]
-    n_latents, n_factors = len(latent_labels), len(factor_labels)
-    values = np.zeros((n_latents, n_factors))
-    for i in range(n_latents):
-        for j in range(n_factors):
-            values[i, j] = mutual_information(latent_labels[i], factor_labels[j])
-    entropies = np.array([entropy(lab) for lab in factor_labels])
+    # each column is coded once, not once per pair it takes part in
+    factor_codes = [_coded(encode_factor(z, card, spec)) for z, card in zip(factors, dataset.cardinalities)]
+    latent_codes = [_coded(discretize(c, spec)) for c in latents]
+    values = np.zeros((len(latent_codes), len(factor_codes)))
+    for i, a in enumerate(latent_codes):
+        for j, b in enumerate(factor_codes):
+            values[i, j] = _mutual_information(a, b)
+    entropies = np.array([_entropy(*b) for b in factor_codes])
     return InformativenessMatrix(values, entropies, provenance="mutual_information")
 
 
@@ -177,7 +187,6 @@ def stump_accuracy(x, labels):
 class ClassifierConfig:
     learning_rate: float = 0.1
     epochs: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +209,7 @@ class LinearClassifier:
 def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     """Train a multinomial logistic model by full-batch gradient descent.
 
-    Zero-initialized and fully deterministic for a fixed config, whatever
-    the seed; the seed field exists so callers can thread one config
-    object through seeded pipelines.
+    Zero-initialized, so fully deterministic for a fixed config.
     """
     x = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels).astype(np.int64)
@@ -254,14 +261,12 @@ class MajorityVoteTable:
         return float(np.mean(self.predictions[pairs[:, 0]] == pairs[:, 1]))
 
 
-def majority_vote(pairs, n_latents=None, n_factors=None):
+def majority_vote(pairs, n_latents, n_factors):
     """Tally (latent_index, factor_index) training pairs into a vote table."""
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
         raise ValueError("majority_vote needs at least one training pair")
     pairs = pairs.reshape(-1, 2)
-    n_latents = int(pairs[:, 0].max()) + 1 if n_latents is None else int(n_latents)
-    n_factors = int(pairs[:, 1].max()) + 1 if n_factors is None else int(n_factors)
     votes = np.zeros((n_latents, n_factors), dtype=np.int64)
     np.add.at(votes, (pairs[:, 0], pairs[:, 1]), 1)
     return MajorityVoteTable(votes)

@@ -313,8 +313,6 @@ def sap_score(dataset):
 def mig_score(matrix):
     """Mean over factors of the entropy-normalized gap between the two
     largest mutual-information entries in the factor's column."""
-    if matrix.provenance not in ("mutual_information", "external"):
-        raise NotComputableError(f"mig needs mutual-information scores, got {matrix.provenance}")
     if matrix.n_latents < 2:
         raise NotComputableError("mig needs at least 2 latent dimensions")
     for j, h in enumerate(matrix.factor_entropies):
@@ -348,8 +346,6 @@ def three_charm_score(matrix):
     D^z_j is the largest D_i among latents with j_i = j, or 0 when no
     latent claims j. The final score is sum_j D^z_j / sum_j H(z_j).
     """
-    if matrix.provenance not in ("mutual_information", "external"):
-        raise NotComputableError(f"3charm needs mutual-information scores, got {matrix.provenance}")
     entropies = matrix.factor_entropies
     total_entropy = float(entropies.sum())
     if total_entropy <= 0:

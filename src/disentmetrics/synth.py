@@ -47,7 +47,7 @@ def _standard_normal3(rng, n):
     return rng.standard_normal(size=(n, 3))
 
 
-def gen_betavae_counterexample(n=10000, seed=DEFAULT_SEED):
+def gen_betavae_counterexample(seed=DEFAULT_SEED):
     """Oracle whose latents are random per-sample copies of the factors.
 
     Three U[0,1] factors; latent k equals factor j with probability
@@ -62,13 +62,10 @@ def gen_betavae_counterexample(n=10000, seed=DEFAULT_SEED):
         choice = np.stack([_BETAVAE_CDF[k].searchsorted(u[k], side="right") for k in range(3)], axis=1)
         return np.take_along_axis(z, choice, axis=1)
 
-    return RepresentationOracle(
-        3, 3, _uniform01, encode, seed=seed,
-        name="betavae-counterexample", params={"mix": BETAVAE_MIX.tolist()}, default_n=n,
-    )
+    return RepresentationOracle(3, 3, _uniform01, encode, seed=seed)
 
 
-def gen_factorvae_counterexample(n=10000, seed=DEFAULT_SEED):
+def gen_factorvae_counterexample(seed=DEFAULT_SEED):
     """Oracle with fully entangled deterministic linear mixing of three
     standard-normal factors; every latent depends on every factor, yet the
     lowest-variance-dimension signature identifies the fixed factor."""
@@ -76,13 +73,10 @@ def gen_factorvae_counterexample(n=10000, seed=DEFAULT_SEED):
     def encode(rng, z):
         return z @ FACTORVAE_MIX.T
 
-    return RepresentationOracle(
-        3, 3, _standard_normal3, encode, seed=seed,
-        name="factorvae-counterexample", params={"mix": FACTORVAE_MIX.tolist()}, default_n=n,
-    )
+    return RepresentationOracle(3, 3, _standard_normal3, encode, seed=seed)
 
 
-def gen_identity_oracle(n_factors=3, n=10000, seed=DEFAULT_SEED):
+def gen_identity_oracle(n_factors=3, seed=DEFAULT_SEED):
     """Perfectly disentangled oracle: c = z over U[0,1] factors."""
 
     def sample_factors(rng, m):
@@ -91,13 +85,10 @@ def gen_identity_oracle(n_factors=3, n=10000, seed=DEFAULT_SEED):
     def encode(rng, z):
         return z.copy()
 
-    return RepresentationOracle(
-        n_factors, n_factors, sample_factors, encode, seed=seed,
-        name="identity", params={"n_factors": n_factors}, default_n=n,
-    )
+    return RepresentationOracle(n_factors, n_factors, sample_factors, encode, seed=seed)
 
 
-def gen_noise_oracle(n_factors=3, n_latents=3, n=10000, seed=DEFAULT_SEED):
+def gen_noise_oracle(n_factors=3, n_latents=3, seed=DEFAULT_SEED):
     """Chance-level baseline: latents are Gaussian noise independent of the
     U[0,1] factors."""
 
@@ -107,10 +98,7 @@ def gen_noise_oracle(n_factors=3, n_latents=3, n=10000, seed=DEFAULT_SEED):
     def encode(rng, z):
         return rng.standard_normal(size=(z.shape[0], n_latents))
 
-    return RepresentationOracle(
-        n_factors, n_latents, sample_factors, encode, seed=seed,
-        name="noise", params={"n_factors": n_factors, "n_latents": n_latents}, default_n=n,
-    )
+    return RepresentationOracle(n_factors, n_latents, sample_factors, encode, seed=seed)
 
 
 def gen_sap_nonlinear(n=10000, seed=DEFAULT_SEED):
@@ -310,47 +298,56 @@ def parse_spec_string(text, seed=DEFAULT_SEED, n=10000):
     return GeneratorSpec(name=name, params=params, seed=seed, n=n)
 
 
-def _build_disentangled(spec):
+def _build_disentangled(p, spec):
+    if p["cubic"] not in (0, 1):
+        raise ValueError(f"disentangled parameter cubic must be 0 or 1, got {p['cubic']!r}")
     return gen_disentangled(
-        n_factors=int(spec.params.get("K", 4)),
+        n_factors=int(p["K"]),
         n=spec.n,
-        noise_std=float(spec.params.get("noise_std", 0.0)),
-        map_kind={0: "linear", 1: "cubic"}.get(spec.params.get("cubic", 0), "linear"),
+        noise_std=float(p["noise_std"]),
+        map_kind="cubic" if p["cubic"] else "linear",
         seed=spec.seed,
         return_info=True,
     )
 
 
-def _build_entangled(spec):
+def _build_entangled(p, spec):
     return gen_entangled_family(
-        level=float(spec.params.get("level", 0.5)),
-        n_factors=int(spec.params.get("K", 4)),
+        level=float(p["level"]),
+        n_factors=int(p["K"]),
         n=spec.n,
         seed=spec.seed,
         return_info=True,
     )
 
 
+# name -> (every parameter the generator reads, with its default;
+# builder(parameters, spec) -> (object, ground-truth metadata))
 GENERATORS = {
-    "betavae-counterexample": lambda spec: (gen_betavae_counterexample(spec.n, spec.seed),
-                                            {"mix": BETAVAE_MIX.tolist()}),
-    "factorvae-counterexample": lambda spec: (gen_factorvae_counterexample(spec.n, spec.seed),
-                                              {"mix": FACTORVAE_MIX.tolist()}),
-    "identity": lambda spec: (gen_identity_oracle(int(spec.params.get("K", 3)), spec.n, spec.seed), {}),
-    "noise": lambda spec: (gen_noise_oracle(int(spec.params.get("K", 3)),
-                                            int(spec.params.get("N", 3)), spec.n, spec.seed), {}),
-    "sap-nonlinear": lambda spec: (gen_sap_nonlinear(spec.n, spec.seed), {}),
-    "sap-duplicate": lambda spec: (gen_sap_duplicate(spec.n, spec.seed), {}),
-    "disentangled": _build_disentangled,
-    "entangled": _build_entangled,
+    "betavae-counterexample": ({}, lambda p, spec: (gen_betavae_counterexample(spec.seed),
+                                                    {"mix": BETAVAE_MIX.tolist()})),
+    "factorvae-counterexample": ({}, lambda p, spec: (gen_factorvae_counterexample(spec.seed),
+                                                      {"mix": FACTORVAE_MIX.tolist()})),
+    "identity": ({"K": 3}, lambda p, spec: (gen_identity_oracle(int(p["K"]), spec.seed), {})),
+    "noise": ({"K": 3, "N": 3}, lambda p, spec: (gen_noise_oracle(int(p["K"]), int(p["N"]), spec.seed), {})),
+    "sap-nonlinear": ({}, lambda p, spec: (gen_sap_nonlinear(spec.n, spec.seed), {})),
+    "sap-duplicate": ({}, lambda p, spec: (gen_sap_duplicate(spec.n, spec.seed), {})),
+    "disentangled": ({"K": 4, "noise_std": 0.0, "cubic": 0}, _build_disentangled),
+    "entangled": ({"level": 0.5, "K": 4}, _build_entangled),
 }
 
 ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", "identity", "noise")
 
 
 def build(spec):
-    """Instantiate a GeneratorSpec; returns (object, ground-truth metadata)."""
-    return GENERATORS[spec.name](spec)
+    """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
+    A parameter the generator does not read raises ValueError."""
+    defaults, builder = GENERATORS[spec.name]
+    for key in spec.params:
+        if key not in defaults:
+            known = ", ".join(defaults) or "none"
+            raise ValueError(f"unknown parameter {key!r} for generator {spec.name!r} (known: {known})")
+    return builder({**defaults, **spec.params}, spec)
 
 
 def dataset_from_spec(spec):

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from disentmetrics import synth
-from disentmetrics.cli import main
+from disentmetrics.cli import build_parser, main
 from disentmetrics.core import load_dataset, save_dataset, save_matrix
 from disentmetrics.reproduce import CASES
 
@@ -87,6 +88,15 @@ def test_gen_writes_dataset_and_sidecar(tmp_path, capsys):
     assert "mixing" in meta["ground_truth"]
 
 
+def test_gen_rejects_unknown_generator_parameter(tmp_path, capsys):
+    code, out, err = run([
+        "gen", "--spec", "entangled:levle=0.9,K=3", "--n", "50", "--out", str(tmp_path / "t.csv"),
+    ], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "unknown parameter 'levle'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_unknown_case_lists_registry(capsys):
     code, _, err = run(["reproduce", "nosuch"], capsys)
     assert code == 1
@@ -145,7 +155,7 @@ def test_sweep_out_of_range(tmp_path, capsys):
 def test_correlate_small_population(tmp_path, capsys):
     out_path = tmp_path / "corr.csv"
     code, _, _ = run([
-        "correlate", "--family", "entangled", "--count", "6", "--n", "400",
+        "correlate", "--count", "6", "--n", "400",
         "--metrics", "mig,3charm", "--seed", "31", "--out", str(out_path),
     ], capsys)
     assert code == 0
@@ -242,3 +252,62 @@ def test_eval_oracle_betavae_full_regime(capsys):
     assert code == 0
     report = json.loads(out)[0]
     assert abs(report["score"] - 0.9967) <= 0.02
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes a command reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _minimal_argv(command, tmp_path):
+    dataset = tmp_path / "d.csv"
+    save_dataset(synth.gen_sap_nonlinear(n=60, seed=3), str(dataset))
+    a, b = synth.gen_comparison_matrices("mig_vs_3charm")
+    save_matrix(a, str(tmp_path / "a.matrix"))
+    save_matrix(b, str(tmp_path / "b.matrix"))
+    return {
+        "eval": ["--dataset", str(dataset), "--metrics", "mig"],
+        "gen": ["--spec", "entangled:K=2", "--n", "20"],
+        "reproduce": ["dci-two-factor"],
+        "sweep": ["--eps", "0.5", "--eps1", "0.5"],
+        "correlate": ["--count", "5", "--n", "60", "--factors", "2", "--metrics", "mig,3charm"],
+        "compare": [str(tmp_path / "a.matrix"), str(tmp_path / "b.matrix")],
+    }[command] + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_flag_of_a_subcommand_is_read(command, tmp_path, capsys):
+    args = build_parser().parse_args([command, *_minimal_argv(command, tmp_path)], namespace=_ReadRecorder())
+    # parsing itself reads the defaults it fills in: count only what the command reads
+    args.__dict__["_reads"] = set()
+    assert args.func(args) == 0
+    declared = {a.dest for a in _subparsers()[command]._actions} - {"help", "func", "command"}
+    assert declared - args._reads == set()
+
+
+REMOVED_FLAGS = [
+    ("gen", "--bins", "3"), ("gen", "--bin-strategy", "quantile"), ("gen", "--format", "json"),
+    ("reproduce", "--seed", "999"), ("reproduce", "--bins", "3"), ("reproduce", "--bin-strategy", "quantile"),
+    ("sweep", "--seed", "1"), ("sweep", "--bins", "3"), ("sweep", "--bin-strategy", "quantile"),
+    ("sweep", "--format", "json"),
+    ("correlate", "--format", "json"), ("correlate", "--family", "entangled"),
+    ("compare", "--seed", "1"), ("compare", "--format", "table"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_removed_flag_is_a_usage_error(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_minimal_argv(command, tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -95,6 +95,12 @@ def test_duplicate_column_names_rejected(tmp_path, schema):
         load_dataset(p, schema=schema)
 
 
+def test_header_fault_is_reported_before_a_bad_cell(tmp_path):
+    p = write(tmp_path / "d.csv", "z1:c,c1,c1\n1,4,5\n2,oops,6\n")
+    with pytest.raises(SchemaError, match="duplicate column 'c1'"):
+        load_dataset(p)
+
+
 def _discrete_dataset(n=2000, seed=3):
     rng = np.random.default_rng(seed)
     z = np.column_stack([rng.uniform(-1, 1, n), rng.integers(0, 4, n), rng.integers(0, 2, n)])
@@ -212,8 +218,9 @@ def test_informativeness_matrix_invariants():
         InformativenessMatrix([[1.5]], [1.0], provenance="mutual_information")
     # external provenance is not entropy-bounded
     InformativenessMatrix([[1.5]], [1.0], provenance="external")
-    with pytest.raises(ValueError):
-        InformativenessMatrix([[0.1]], [1.0], provenance="nonsense")
+    for provenance in ("nonsense", "importance", "linear_r2"):
+        with pytest.raises(ValueError, match="unknown provenance"):
+            InformativenessMatrix([[0.1]], [1.0], provenance=provenance)
 
 
 def test_importance_matrix_rejects_negative():

@@ -10,6 +10,7 @@ from disentmetrics.estimators import (
     ClassifierConfig,
     ForestConfig,
     discretize,
+    encode_factor,
     entropy,
     fit_linear_classifier,
     importance_matrix_from_dataset,
@@ -120,6 +121,57 @@ def test_informativeness_monotone_capture():
     ds = synth.gen_sap_nonlinear(n=10000, seed=9)
     m = informativeness_from_mi(ds)
     assert m.values[0, 0] / m.factor_entropies[0] > 0.9
+
+
+def _ref_entropy(labels):
+    _, counts = np.unique(labels, return_counts=True)
+    p = counts / labels.size
+    return float(-(p * np.log(p)).sum())
+
+
+def _ref_mutual_information(a, b):
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    na = int(ia.max()) + 1
+    nb = int(ib.max()) + 1
+    joint = np.bincount(ia * nb + ib, minlength=na * nb).reshape(na, nb) / a.size
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    mi = float((joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum())
+    return max(mi, 0.0)
+
+
+def _ref_informativeness(dataset, spec):
+    """The per-pair loop, which codes every column again for every pair."""
+    factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
+    factor_labels = [encode_factor(z, card, spec) for z, card in zip(factors, dataset.cardinalities)]
+    latent_labels = [discretize(c, spec) for c in latents]
+    values = np.zeros((len(latent_labels), len(factor_labels)))
+    for i in range(len(latent_labels)):
+        for j in range(len(factor_labels)):
+            values[i, j] = _ref_mutual_information(latent_labels[i], factor_labels[j])
+    return values, np.array([_ref_entropy(lab) for lab in factor_labels])
+
+
+def _mixed_discrete_dataset(n, seed):
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([rng.integers(0, 8, n), rng.uniform(-1, 1, n), rng.integers(0, 30, n)])
+    return RepresentationDataset(z, z @ rng.standard_normal((3, 4)), cardinalities=[8, None, 30])
+
+
+@pytest.mark.parametrize("strategy", ["quantile", "equal_width"])
+@pytest.mark.parametrize("n", [7, 333, 5000])
+def test_informativeness_matches_per_pair_reference_bit_for_bit(strategy, n):
+    datasets = [synth.gen_entangled_family(0.4, n_factors=k, n=n, seed=k) for k in (2, 3, 4, 10)]
+    datasets.append(_mixed_discrete_dataset(n, seed=n))
+    for ds in datasets:
+        for bins in (5, 20):
+            spec = BinningSpec(strategy, bins)
+            m = informativeness_from_mi(ds, spec)
+            values, entropies = _ref_informativeness(ds, spec)
+            assert np.array_equal(m.values.view(np.uint64), values.view(np.uint64))
+            assert np.array_equal(m.factor_entropies.view(np.uint64), entropies.view(np.uint64))
 
 
 # --- linear regression R^2 ----------------------------------------------
@@ -240,21 +292,21 @@ def test_majority_vote_basic():
 
 
 def test_majority_vote_tie_breaks_low():
-    table = majority_vote([(0, 1)] * 5 + [(0, 2)] * 5)
+    table = majority_vote([(0, 1)] * 5 + [(0, 2)] * 5, n_latents=1, n_factors=3)
     assert table.predictions[0] == 1
 
 
 def test_majority_vote_training_accuracy_identity():
     rng = np.random.default_rng(6)
     pairs = np.column_stack([rng.integers(0, 4, 500), rng.integers(0, 3, 500)])
-    table = majority_vote(pairs)
+    table = majority_vote(pairs, n_latents=4, n_factors=3)
     expected = sum(table.votes[i].max() for i in range(table.votes.shape[0])) / len(pairs)
     assert table.accuracy(pairs) == pytest.approx(expected, abs=1e-12)
 
 
 def test_majority_vote_empty():
     with pytest.raises(ValueError):
-        majority_vote([])
+        majority_vote([], n_latents=1, n_factors=1)
 
 
 # --- feature importances ----------------------------------------------------

@@ -152,12 +152,6 @@ def test_mig_needs_two_latents():
         mig_score(m)
 
 
-def test_mig_rejects_importance_provenance():
-    m = InformativenessMatrix(np.ones((2, 2)), np.ones(2), provenance="importance")
-    with pytest.raises(NotComputableError):
-        mig_score(m)
-
-
 # --- 3CharM ----------------------------------------------------------------------
 
 
@@ -507,9 +501,3 @@ def test_all_scores_in_unit_interval():
         train_points=300, eval_points=100, batch_size=32, seed=9))
     for r in reports:
         assert 0.0 <= r.score <= 1.0
-
-
-def test_three_charm_rejects_importance_provenance():
-    m = InformativenessMatrix(np.ones((2, 2)), np.ones(2), provenance="importance")
-    with pytest.raises(NotComputableError):
-        three_charm_score(m)

@@ -129,7 +129,7 @@ def test_matrix_metrics_range_and_permutation_invariance(values, rnd):
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=300))
 def test_majority_vote_training_accuracy_identity(pairs):
-    table = majority_vote(pairs)
+    table = majority_vote(pairs, n_latents=6, n_factors=5)
     votes = table.votes
     expected = sum(votes[i].max() for i in range(votes.shape[0])) / len(pairs)
     assert abs(table.accuracy(pairs) - expected) <= 1e-12

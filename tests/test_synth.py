@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,23 @@ def test_entangled_family_trend():
 def test_comparison_matrices_unknown_case():
     with pytest.raises(ValueError):
         synth.gen_comparison_matrices("mig_vs_sap")
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("entangled", {"levle": 0.9, "K": 3}, "unknown parameter 'levle' for generator 'entangled' (known: level, K)"),
+    ("sap-nonlinear", {"K": 2}, "unknown parameter 'K' for generator 'sap-nonlinear' (known: none)"),
+    ("disentangled", {"cubic": 2}, "disentangled parameter cubic must be 0 or 1, got 2"),
+    ("disentangled", {"cubic": 0.5}, "disentangled parameter cubic must be 0 or 1, got 0.5"),
+])
+def test_build_rejects_parameters_the_generator_does_not_read(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synth.build(GeneratorSpec(name, params, n=50))
+
+
+def test_disentangled_cubic_parameter_selects_the_map():
+    for params, kind in (({}, "linear"), ({"cubic": 0}, "linear"), ({"cubic": 1}, "cubic"), ({"cubic": 1.0}, "cubic")):
+        _, info = synth.build(GeneratorSpec("disentangled", params, n=50))
+        assert info["map_kind"] == kind
 
 
 def test_parse_spec_string():
