@@ -7,6 +7,7 @@ Everything here is pure given (data, config, seed): repeated calls are
 bit-reproducible and safe to run concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ from .core import (
 )
 
 BIN_STRATEGIES = ("quantile", "equal_width")
+
+
+def _prescaled(v):
+    """``v`` (per column) times the power of two that brings its largest
+    magnitude into [0.5, 1): exact, so no later step can overflow."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=0))[1])
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,7 @@ def discretize(values, spec=BinningSpec()):
         raise ValueError("values must be a non-empty 1-d sequence")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    lo, hi = v.min(), v.max()
-    if lo == hi:
+    if v.min() == v.max():
         return np.zeros(v.size, dtype=np.int64)
     if spec.strategy == "quantile":
         n = v.size
@@ -62,6 +68,8 @@ def discretize(values, spec=BinningSpec()):
         ranks = np.empty(n, dtype=np.int64)
         ranks[order] = group_rank
         return (ranks * spec.bin_count) // n
+    v = _prescaled(v)
+    lo, hi = v.min(), v.max()
     labels = np.floor((v - lo) / (hi - lo) * spec.bin_count).astype(np.int64)
     return np.clip(labels, 0, spec.bin_count - 1)
 
@@ -145,6 +153,7 @@ def linear_regression_r2(x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("x and y must share a length >= 2")
+    x, y = _prescaled(x), _prescaled(y)
     vx = x.var()
     vy = y.var()
     if vx == 0.0 or vy == 0.0:
@@ -300,85 +309,102 @@ class LassoConfig:
     tol: float = 1e-10
 
 
-def _sse(total, total_sq, count):
-    return total_sq - total * total / count
-
-
-def _grow_tree(x, y, order, max_depth, importance):
-    """Grow one exact variance-reduction tree depth-first, adding each
-    split's gain to ``importance[latent]``; ties go to the first latent.
-    ``x`` is the bag's (bag, N) latents and ``order`` their stable argsort
-    (N, bag). A node holds its rows in bag order and, per latent, in sorted
-    order; filtering a stable sort by a mark gives the stable sort of the
-    subset, so no node sorts again."""
-    n_latents = x.shape[1]
-    feats = np.arange(n_latents)
-    in_left = np.zeros(y.size, dtype=bool)
-    stack = [(np.arange(y.size), order, 0)]
+def _grow_tree(q, order, vals, tied, max_depth, importance):
+    """Grow one exact variance-reduction tree depth-first on the int64
+    target ``q`` (bag order), adding each split's gain
+    (S_L*m - S*l)^2 / (l*(m-l)*m) to ``importance``. ``order`` is the bag's
+    stable argsort per latent (N, bag); filtering a stable sort by a mark
+    gives the stable sort of the subset, so no node sorts again. ``vals``
+    holds the sorted values of the latents ``tied`` (those with a repeated
+    value in the bag), whose thresholds must fall between distinct values.
+    Latents tying on the best gain are grouped by their left row sets; the
+    group with the smallest sorted row ids is split on and shares the gain,
+    so the tree does not depend on the order of the latent columns."""
+    n_latents = order.shape[0]
+    latent_ids, lefts = np.arange(n_latents), np.arange(1, q.size)
+    in_left = np.zeros(q.size, dtype=bool)
+    stack = [(order, vals, 0)]
     while stack:
-        rows, sorted_rows, depth = stack.pop()
-        m = rows.size
+        sorted_rows, vals, depth = stack.pop()
+        m = sorted_rows.shape[1]
         if depth >= max_depth or m < 2:
             continue
-        y_node = y[rows]
-        total = y_node.sum()
-        total_sq = (y_node * y_node).sum()
-        sse_node = _sse(total, total_sq, m)
-        if sse_node <= 0.0:
+        c = np.cumsum(q[sorted_rows], axis=1)
+        left = lefts[:m - 1]
+        d = c[:, :-1] * m
+        d -= c[0, -1] * left
+        gains = d.astype(np.float64)
+        gains *= gains
+        gains /= left * (m - left) * float(m)
+        if tied.size:
+            gains[tied] *= vals[:, 1:] > vals[:, :-1]  # thresholds between distinct values
+        pos = gains.argmax(axis=1)
+        best = gains[latent_ids, pos].tolist()
+        gain = max(best)
+        if gain <= 0.0:
             continue
-        ys = y[sorted_rows]
-        cy = np.cumsum(ys, axis=1)[:, :-1]
-        cy2 = np.cumsum(ys * ys, axis=1)[:, :-1]
-        left = np.arange(1.0, m)  # left sizes
-        gains = sse_node - _sse(cy, cy2, left) - _sse(total - cy, total_sq - cy2, m - left)
-        xs = x[sorted_rows, feats[:, None]]
-        gains = np.where(xs[:, 1:] > xs[:, :-1], gains, -np.inf)  # thresholds between distinct values
-        best_gain, feat = 0.0, -1
-        for f, gain in enumerate(gains.max(axis=1).tolist()):
-            if gain > best_gain:
-                best_gain, feat = gain, f
-        if feat < 0:
-            continue
-        importance[feat] += best_gain
+        feats = [f for f, g in enumerate(best) if g == gain]
+        if len(feats) > 1:
+            groups = {}
+            for f in feats:
+                groups.setdefault(tuple(np.sort(sorted_rows[f, :pos[f] + 1]).tolist()), []).append(f)
+            feats = min(groups.items())[1]
+        importance[feats] += gain / len(feats)
         if depth + 1 >= max_depth:
             continue
-        n_left = int(gains[feat].argmax()) + 1
-        in_left[sorted_rows[feat, :n_left]] = True
-        row_left = in_left[rows]
-        sorted_left = in_left[sorted_rows]
-        stack.append((rows[row_left], sorted_rows[sorted_left].reshape(n_latents, n_left), depth + 1))
-        stack.append((rows[~row_left], sorted_rows[~sorted_left].reshape(n_latents, m - n_left), depth + 1))
-        in_left[sorted_rows[feat, :n_left]] = False
+        n_left = int(pos[feats[0]]) + 1
+        in_left[sorted_rows[feats[0], :n_left]] = True
+        mark = in_left[sorted_rows]
+        in_left[sorted_rows[feats[0], :n_left]] = False
+        for side, size in ((mark, n_left), (~mark, m - n_left)):
+            side_vals = vals[side[tied]].reshape(tied.size, size) if tied.size else vals
+            stack.append((sorted_rows[side].reshape(n_latents, size), side_vals, depth + 1))
+
+
+def _quantized(target, bag):
+    """The target as int64 in a fixed unit: prescaled, centred and rounded to
+    B = 62 - 2*ceil(log2(bag)) bits, so that for every node of m <= bag rows
+    |S_L*m| and |S*l| stay below 2^62."""
+    y = _prescaled(target)
+    y = y - y.mean()
+    bits = 62 - 2 * (bag - 1).bit_length()
+    return np.rint(np.ldexp(y, bits - np.frexp(np.abs(y).max())[1])).astype(np.int64)
 
 
 def _forest_importances(latents, targets, config):
     """Raw summed impurity decrease per latent (one row per target), and
-    the fraction of each target's bagged variance it removed. Every target
-    shares the bag and presort of a tree: they depend on (seed, tree) only."""
+    the fraction of each target's bagged sum of squares it removed. Every
+    target shares the bag and presort of a tree, drawn from (seed, tree)."""
     n, n_latents = latents.shape
     bag = max(1, int(round(config.bag_fraction * n)))
+    qs = [_quantized(target, bag) for target in targets]
     importance = np.zeros((len(targets), n_latents))
     root_sse = [0.0] * len(targets)
     for t in range(config.n_trees):
         idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
-        x = latents[idx]
-        order = np.argsort(x.T, axis=1, kind="stable")
-        for j, target in enumerate(targets):
-            y = target[idx]
-            root_sse[j] += max(_sse(y.sum(), (y ** 2).sum(), bag), 0.0)
-            _grow_tree(x, y, order, config.max_depth, importance[j])
-    masses = [float(imp.sum() / sse) if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
+        x = latents[idx].T
+        order = np.argsort(x, axis=1, kind="stable")
+        xs = np.take_along_axis(x, order, axis=1)
+        tied = np.flatnonzero((xs[:, 1:] <= xs[:, :-1]).any(axis=1))
+        for j, q in enumerate(qs):
+            qb = q[idx]
+            r = (qb * bag - qb.sum()).astype(np.float64)  # bag times the centred target, exact
+            root_sse[j] += float((r * r).sum()) / (bag * bag)
+            _grow_tree(qb, order, xs[tied], tied, config.max_depth, importance[j])
+    masses = [math.fsum(imp) / sse if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
     return importance, masses
 
 
 def _lasso_importances(latents, target, config):
     """|coefficients| of an L1 fit by coordinate descent on standardized
     latents and a unit-variance target."""
-    x = latents - latents.mean(axis=0)
+    x = _prescaled(latents)
+    x -= x.mean(axis=0)
     scale = x.std(axis=0)
     nz = scale > 0
     x[:, nz] /= scale[nz]
-    y = target - target.mean()
+    y = _prescaled(target)
+    y = y - y.mean()
     sy = y.std()
     if sy == 0:
         return np.zeros(latents.shape[1]), 0.0
@@ -411,7 +437,7 @@ def _importances_with_mass(latents, targets, method, config):
     target), plus each target's explained mass."""
     if method == "forest":
         raw, masses = _forest_importances(latents, targets, config or ForestConfig())
-        return [r / r.sum() if r.sum() > 0 else r for r in raw], masses
+        return [r / math.fsum(r) if r.any() else r for r in raw], masses
     if method == "lasso":
         fits = [_lasso_importances(latents, t, config or LassoConfig()) for t in targets]
         return [w for w, _ in fits], [r2 for _, r2 in fits]

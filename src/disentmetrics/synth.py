@@ -341,7 +341,9 @@ ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", 
 
 def build(spec):
     """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
-    A parameter the generator does not read raises ValueError."""
+    An unknown generator or a parameter it does not read raises ValueError."""
+    if spec.name not in GENERATORS:
+        raise ValueError(f"unknown generator {spec.name!r} (known: {', '.join(sorted(GENERATORS))})")
     defaults, builder = GENERATORS[spec.name]
     for key in spec.params:
         if key not in defaults:

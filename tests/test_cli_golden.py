@@ -6,7 +6,9 @@ generators, plus one CSV and schema written as text, into a temporary
 directory that becomes the working directory,
 so every path (and every ``compare`` label) is relative. To re-capture the
 expected files after an intended output change, run
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]``: only the
+named commands (keys of ``COMMANDS``) are re-captured, or all of them when
+no name is given.
 """
 
 import io
@@ -96,12 +98,17 @@ def test_cli_output_matches_golden(name, inputs_dir):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or sorted(COMMANDS)
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown command name(s): {', '.join(unknown)} (known: {', '.join(sorted(COMMANDS))})")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp)
         os.chdir(tmp)
-        for command in sorted(COMMANDS):
+        for command in names:
             for filename, data in run_command(command).items():
                 (GOLDEN / filename).write_bytes(data)

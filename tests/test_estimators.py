@@ -20,6 +20,8 @@ from disentmetrics.estimators import (
     mutual_information,
     stump_accuracy,
 )
+from disentmetrics.estimators import _quantized
+from disentmetrics.metrics import dci_score
 
 
 # --- discretize ---------------------------------------------------------
@@ -396,82 +398,73 @@ def test_unknown_method():
 
 
 # --- forest bit pin ---------------------------------------------------------
-# The per-node argsort forest, kept verbatim as the reference that every
-# faster forest must match bit for bit (importances and explained masses).
+# A slow, plain forest that applies the split rule node by node with Python
+# integers: the reference that the presorted forest must match bit for bit
+# (importances and explained masses).
 
 
-def _ref_sse(total, total_sq, count):
-    return total_sq - total * total / count
+def _ref_quantized(target, bag):
+    y = np.ldexp(target, -np.frexp(np.abs(target).max())[1])
+    y = y - y.mean()
+    bits = 62 - 2 * math.ceil(math.log2(bag))
+    return np.rint(np.ldexp(y, bits - np.frexp(np.abs(y).max())[1])).astype(np.int64)
 
 
-def _ref_best_split(x_node, y_node, sse_node):
-    m = y_node.size
-    best_gain, best_feat, best_mask = 0.0, -1, None
-    total = y_node.sum()
-    total_sq = (y_node * y_node).sum()
-    for f in range(x_node.shape[1]):
-        x = x_node[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y_node[order]
-        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # left sizes
-        if boundary.size == 0:
+def _ref_best_splits(x, q, rows):
+    """(gain, latent, sorted left rows) of each latent's first best threshold."""
+    m = rows.size
+    total = q[rows].sum()
+    splits = []
+    for f in range(x.shape[1]):
+        order = rows[np.argsort(x[rows, f], kind="stable")]
+        xs = x[order, f]
+        left = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # left sizes between distinct values
+        if left.size == 0:
             continue
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
-        left = boundary
-        sse_l = _ref_sse(cy[left - 1], cy2[left - 1], left)
-        sse_r = _ref_sse(total - cy[left - 1], total_sq - cy2[left - 1], m - left)
-        gains = sse_node - sse_l - sse_r
+        d = (np.cumsum(q[order])[left - 1] * m - total * left).astype(np.float64)
+        gains = d * d / (left * (m - left) * float(m))
         k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_feat = f
-            best_mask = x <= xs[left[k] - 1]
-    return best_gain, best_feat, best_mask
+        if gains[k] > 0.0:
+            splits.append((float(gains[k]), f, tuple(sorted(order[:left[k]].tolist()))))
+    return splits
 
 
-def _ref_tree_importance(x, y, rng, config, importance):
-    n = y.size
-    bag = max(1, int(round(config.bag_fraction * n)))
-    idx = rng.choice(n, size=bag, replace=False)
-    root_sse = _ref_sse(y[idx].sum(), (y[idx] ** 2).sum(), bag)
-    stack = [(idx, 0)]
+def _ref_tree(x, q, max_depth, importance):
+    stack = [(np.arange(q.size), 0)]
     while stack:
         rows, depth = stack.pop()
-        if depth >= config.max_depth or rows.size < 2:
+        if depth >= max_depth or rows.size < 2:
             continue
-        y_node = y[rows]
-        sse_node = _ref_sse(y_node.sum(), (y_node * y_node).sum(), rows.size)
-        if sse_node <= 0.0:
+        splits = _ref_best_splits(x, q, rows)
+        if not splits:
             continue
-        gain, feat, mask = _ref_best_split(x[rows], y_node, sse_node)
-        if feat < 0 or gain <= 0.0:
-            continue
-        importance[feat] += gain
+        gain = max(s[0] for s in splits)
+        left = min(s[2] for s in splits if s[0] == gain)
+        group = [f for g, f, rows_l in splits if g == gain and rows_l == left]
+        for f in group:
+            importance[f] += gain / len(group)
+        mask = np.isin(rows, left)
         stack.append((rows[mask], depth + 1))
         stack.append((rows[~mask], depth + 1))
-    return max(root_sse, 0.0)
-
-
-def _ref_forest_importances(latents, target, config):
-    importance = np.zeros(latents.shape[1])
-    total_root_sse = 0.0
-    for t in range(config.n_trees):
-        rng = np.random.default_rng([config.seed, t])
-        total_root_sse += _ref_tree_importance(latents, target, rng, config, importance)
-    mass = float(importance.sum() / total_root_sse) if total_root_sse > 0 else 0.0
-    return importance, mass
 
 
 def _ref_importance_matrix(dataset, config):
     latents = dataset.latent_matrix()
+    n = dataset.n
+    bag = max(1, int(round(config.bag_fraction * n)))
     columns, masses = [], []
     for j in range(dataset.n_factors):
-        raw, mass = _ref_forest_importances(latents, dataset.factors[:, j].copy(), config)
-        total = raw.sum()
+        q = _ref_quantized(dataset.factors[:, j], bag)
+        raw = np.zeros(dataset.n_latents)
+        root = 0.0
+        for t in range(config.n_trees):
+            idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
+            r = (q[idx] * bag - q[idx].sum()).astype(np.float64)
+            root += float((r * r).sum()) / (bag * bag)
+            _ref_tree(latents[idx], q[idx], config.max_depth, raw)
+        total = math.fsum(raw)
         columns.append(raw / total if total > 0 else raw)
-        masses.append(mass)
+        masses.append(total / root if root > 0 else 0.0)
     return np.column_stack(columns), np.array(masses)
 
 
@@ -522,3 +515,117 @@ def test_forest_bits_match_reference_small(case):
 def test_forest_bits_match_reference_entangled():
     dataset = synth.gen_entangled_family(0.5, n_factors=4, n=2000, seed=131)
     _assert_bits_match_reference(dataset, ForestConfig())
+
+
+# --- the previous forest, as a tolerance reference ---------------------------
+# The float forest that gave exact gain ties to the lowest latent index. The
+# integer forest splits near-ties differently, so DCI moves, but only a little.
+
+
+def _old_sse(total, total_sq, count):
+    return total_sq - total * total / count
+
+
+def _old_grow_tree(x, y, order, max_depth, importance):
+    n_latents = x.shape[1]
+    feats = np.arange(n_latents)
+    in_left = np.zeros(y.size, dtype=bool)
+    stack = [(np.arange(y.size), order, 0)]
+    while stack:
+        rows, sorted_rows, depth = stack.pop()
+        m = rows.size
+        if depth >= max_depth or m < 2:
+            continue
+        y_node = y[rows]
+        total = y_node.sum()
+        total_sq = (y_node * y_node).sum()
+        sse_node = _old_sse(total, total_sq, m)
+        if sse_node <= 0.0:
+            continue
+        ys = y[sorted_rows]
+        cy = np.cumsum(ys, axis=1)[:, :-1]
+        cy2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+        left = np.arange(1.0, m)
+        gains = sse_node - _old_sse(cy, cy2, left) - _old_sse(total - cy, total_sq - cy2, m - left)
+        xs = x[sorted_rows, feats[:, None]]
+        gains = np.where(xs[:, 1:] > xs[:, :-1], gains, -np.inf)
+        best_gain, feat = 0.0, -1
+        for f, gain in enumerate(gains.max(axis=1).tolist()):
+            if gain > best_gain:
+                best_gain, feat = gain, f
+        if feat < 0:
+            continue
+        importance[feat] += best_gain
+        if depth + 1 >= max_depth:
+            continue
+        n_left = int(gains[feat].argmax()) + 1
+        in_left[sorted_rows[feat, :n_left]] = True
+        row_left = in_left[rows]
+        sorted_left = in_left[sorted_rows]
+        stack.append((rows[row_left], sorted_rows[sorted_left].reshape(n_latents, n_left), depth + 1))
+        stack.append((rows[~row_left], sorted_rows[~sorted_left].reshape(n_latents, m - n_left), depth + 1))
+        in_left[sorted_rows[feat, :n_left]] = False
+
+
+def _old_importances(dataset, config=ForestConfig()):
+    latents, n = dataset.latent_matrix(), dataset.n
+    bag = max(1, int(round(config.bag_fraction * n)))
+    importance = np.zeros((dataset.n_factors, dataset.n_latents))
+    for t in range(config.n_trees):
+        idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
+        x = latents[idx]
+        order = np.argsort(x.T, axis=1, kind="stable")
+        for j in range(dataset.n_factors):
+            _old_grow_tree(x, dataset.factors[idx, j], order, config.max_depth, importance[j])
+    return np.column_stack([r / r.sum() if r.sum() > 0 else r for r in importance])
+
+
+def test_forest_dci_stays_near_the_previous_forest_on_the_population():
+    worst = 0.0
+    for i in range(50):
+        spec = synth.GeneratorSpec("entangled", {"level": i / 49, "K": 4}, seed=100 + i, n=2000)
+        dataset = synth.dataset_from_spec(spec)[0]
+        new = dci_score(importance_matrix_from_dataset(dataset)[0]).score
+        worst = max(worst, abs(new - dci_score(_old_importances(dataset)).score))
+    assert worst <= 5e-4
+
+
+# --- exact ties and the integer bound -----------------------------------------
+
+
+def test_identical_latents_share_their_importance_exactly():
+    rng = np.random.default_rng(12)
+    n = 600
+    z = rng.uniform(-1, 1, (n, 2))
+    a, b = z[:, 0] + 0.2 * rng.standard_normal(n), z[:, 1] + 0.2 * rng.standard_normal(n)
+
+    def forest(columns, depth):
+        config = ForestConfig(n_trees=10, max_depth=depth, seed=3)
+        matrix, mass = importance_matrix_from_dataset(RepresentationDataset(z, np.column_stack(columns)),
+                                                      "forest", config)
+        return matrix.values, mass
+
+    for depth in (3, 5):
+        matrix, _ = forest([a, a, b], depth)
+        assert np.array_equal(matrix[0], matrix[1])
+    # each latent drives its own factor and splits fall mid-node, so no other
+    # latent ties with the copies
+    single, single_mass = forest([a, b], 3)
+    for columns, copies in (([a, a, b], [0, 1]), ([a, b, a], [0, 2]), ([b, a, a], [1, 2])):
+        matrix, mass = forest(columns, 3)
+        for i in copies:
+            assert np.array_equal(matrix[i], single[0] / 2)
+        assert np.array_equal(matrix[3 - sum(copies)], single[1])
+        assert np.array_equal(mass, single_mass)
+
+
+def test_quantized_targets_keep_node_sums_inside_int64():
+    bags = list(range(1, 4097)) + [2**k + d for k in range(12, 32) for d in (-1, 0, 1)]
+    targets = [np.array([0.0, 1.0 - 2.0**-53]), np.array([-1.0, 1.0]), np.array([3.0, -5e-300, 7.0])]
+    for bag in bags:
+        top = max(int(np.abs(_quantized(t, bag)).max()) for t in targets)
+        # a node has m <= bag rows and 1 <= l < m left rows; |S_L|, |S| <= m * top
+        worst = (bag - 1) * bag * top
+        assert worst < 2**63
+        if 2 <= bag <= 2**16:
+            assert worst >= 2**58  # most of the int64 range still carries target bits

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from disentmetrics.estimators import (
     BinningSpec,
     discretize,
     entropy,
-    importance_matrix_from_dataset,
     majority_vote,
     mutual_information,
 )
@@ -170,14 +170,35 @@ def test_permuting_latents_leaves_dataset_metrics_unchanged(dataset, rnd):
     perm = list(range(dataset.n_latents))
     rnd.shuffle(perm)
     permuted = replace(dataset, latents=dataset.latents[:, perm])
-    names = ["sap", "mig", "3charm"]
+    names = list(DATASET_METRICS)
     scores = [r.score for r in evaluate_all(dataset, metrics=names)]
     assert [r.score for r in evaluate_all(permuted, metrics=names)] == scores
-    # DCI aggregates the estimated importances order-free; the forest breaks
-    # exact gain ties toward the lowest latent index, so the estimate itself
-    # is checked on permuted rows rather than re-estimated
-    importances = importance_matrix_from_dataset(dataset)[0].values
-    assert dci_score(importances[perm]).score == dci_score(importances).score
+
+
+def _power_of_two_range(values):
+    """The k for which values * 2^k has no subnormal or infinite entry."""
+    nonzero = np.abs(values[values != 0])
+    if nonzero.size == 0:
+        return -1000, 1000
+    # |v| lies in [2^(e-1), 2^e) for e = frexp(v)[1]; normal floats span [2^-1022, 2^1024)
+    lo = -1021 - int(np.frexp(nonzero.min())[1])
+    hi = 1024 - int(np.frexp(nonzero.max())[1])
+    return max(lo, -1000), min(hi, 1000)
+
+
+@given(paired_datasets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_power_of_two_column_scaling_leaves_dataset_metrics_bit_identical(dataset, data):
+    columns = [("latents", i) for i in range(dataset.n_latents)]
+    columns += [("factors", j) for j, card in enumerate(dataset.cardinalities) if card is None]
+    group, i = data.draw(st.sampled_from(columns))
+    matrix = getattr(dataset, group).copy()
+    k = data.draw(st.integers(*_power_of_two_range(matrix[:, i])))
+    matrix[:, i] = np.ldexp(matrix[:, i], k)
+    names = list(DATASET_METRICS)
+    before = [(r.skipped, r.score) for r in evaluate_all(dataset, metrics=names)]
+    after = [(r.skipped, r.score) for r in evaluate_all(replace(dataset, **{group: matrix}), metrics=names)]
+    assert after == before
 
 
 @given(paired_datasets(), st.data())
@@ -206,6 +227,20 @@ def test_mig_and_3charm_unchanged_under_increasing_latent_maps(dataset, data):
     before = evaluate_all(dataset, metrics=names, binning=spec)
     after = evaluate_all(_with_latent(dataset, i, mapped), metrics=names, binning=spec)
     assert [(r.skipped, r.score) for r in after] == [(r.skipped, r.score) for r in before]
+
+
+@given(paired_datasets(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_forest_dci_unchanged_under_increasing_latent_maps(dataset, data):
+    i = data.draw(st.integers(0, dataset.n_latents - 1))
+    transform = data.draw(st.sampled_from([lambda v: v**3, np.arctan, lambda v: np.exp(v / 4.0)]))
+    values = dataset.latents[:, i]
+    mapped = transform(values)
+    assume(_keeps_ties(values, mapped))
+    before = evaluate_all(dataset, metrics=["dci"])[0]
+    after = evaluate_all(_with_latent(dataset, i, mapped), metrics=["dci"])[0]
+    assert after.score == before.score
+    assert np.array_equal(after.intermediates["importances"], before.intermediates["importances"])
 
 
 # --- degenerate inputs --------------------------------------------------------
@@ -243,3 +278,23 @@ def test_degenerate_datasets_score_skip_or_raise_typed(dataset):
             assert report.skip_reason
         else:
             assert 0.0 <= report.score <= 1.0
+
+
+@given(paired_datasets(), st.sampled_from([1e150, 1e200, 1e307, 1e-300]), st.sampled_from(["latents", "factors"]))
+@settings(max_examples=40, deadline=None)
+def test_extreme_scales_score_or_raise_typed_without_warnings(dataset, scale, group):
+    """Columns at the edges of the float range: each column is brought to a
+    largest magnitude of ``scale`` (discrete factors keep their labels)."""
+    matrix = getattr(dataset, group).copy()
+    for i in range(matrix.shape[1]):
+        top = np.abs(matrix[:, i]).max()
+        if (group == "latents" or dataset.cardinalities[i] is None) and top > 0:
+            matrix[:, i] = matrix[:, i] / top * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reports = evaluate_all(replace(dataset, **{group: matrix}), metrics=list(DATASET_METRICS))
+        except MetricsError:
+            return
+    for report in reports:
+        assert report.skipped or 0.0 <= report.score <= 1.0

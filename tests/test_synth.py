@@ -182,6 +182,13 @@ def test_build_rejects_parameters_the_generator_does_not_read(name, params, mess
         synth.build(GeneratorSpec(name, params, n=50))
 
 
+def test_build_rejects_an_unknown_generator():
+    with pytest.raises(ValueError, match=re.escape("unknown generator 'nosuch' (known: betavae-counterexample, ")):
+        synth.build(GeneratorSpec("nosuch"))
+    with pytest.raises(ValueError, match="unknown generator"):
+        synth.dataset_from_spec(GeneratorSpec("nosuch", n=50))
+
+
 def test_disentangled_cubic_parameter_selects_the_map():
     for params, kind in (({}, "linear"), ({"cubic": 0}, "linear"), ({"cubic": 1}, "cubic"), ({"cubic": 1.0}, "cubic")):
         _, info = synth.build(GeneratorSpec("disentangled", params, n=50))
