@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,79 @@ def test_header_fault_is_reported_before_a_bad_cell(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize(
+    "body, message, row, column",
+    [
+        ("0,1\n\n1,2\n", "row 2 has 0 cells, expected 2", 2, None),
+        ("0,1\n1,2\n\n", "row 3 has 0 cells, expected 2", 3, None),
+        ("\n", "row 1 has 0 cells, expected 2", 1, None),
+        ("0,1\n \n1,2\n", "row 2 has 1 cells, expected 2", 2, None),
+        ("0,1,\n", "row 1 has 3 cells, expected 2", 1, None),
+        ("0,1\n1,2,3\n", "row 2 has 3 cells, expected 2", 2, None),
+        ("0,1\n1,\n", "non-numeric cell '' at row 2, column c", 2, "c"),
+        ("0,1\n1,2\noops,3\n", "non-numeric cell 'oops' at row 3, column z", 3, "z"),
+        ('0,1\n"1,5",2\n', "non-numeric cell '1,5' at row 2, column z", 2, "z"),
+    ],
+)
+def test_load_csv_fault_names_row_and_column(tmp_path, body, message, row, column):
+    p = write(tmp_path / "d.csv", "z:c,c\n" + body)
+    with pytest.raises(ParseError) as err:
+        load_dataset(p)
+    assert str(err.value) == message
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_load_rows_one_cell_short_of_the_header(tmp_path):
+    p = write(tmp_path / "d.csv", "z:c,c1,c2\n0,1\n1,2\n2,3\n")
+    with pytest.raises(ParseError, match=r"^row 1 has 2 cells, expected 3$"):
+        load_dataset(p)
+
+
+def test_load_accepts_quotes_crlf_and_spaces(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'z:c,c1,c2\r\n"1.5", 2 ,-0.0\r\n 0.25,"3",1e-5 \r\n')
+    ds = load_dataset(str(p))
+    assert ds.factors.tolist() == [[1.5], [0.25]]
+    assert ds.latents.tolist() == [[2.0, -0.0], [3.0, 1e-5]]
+    assert np.signbit(ds.latents[0, 1])
+
+
+def test_load_header_only_is_an_empty_column_without_warnings(tmp_path):
+    p = write(tmp_path / "d.csv", "z:c,c\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="empty column"):
+            load_dataset(p)
+
+
+def _join_writer(dataset, path):
+    """The one-string CSV writer the streamed ``save_dataset`` must match byte for byte."""
+    header = [f"{name}:c" if card is None else f"{name}:d{card}"
+              for name, card in zip(dataset.factor_names, dataset.cardinalities)]
+    header.extend(dataset.latent_names)
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack([dataset.factors, dataset.latents]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _edge_value_dataset(n=5000):
+    ds = _discrete_dataset(n)
+    latents = ds.latents.copy()
+    latents[:6, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.1 + 0.2]
+    return RepresentationDataset(ds.factors, latents, ds.factor_names, ds.latent_names, ds.cardinalities)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5000])
+def test_save_dataset_bytes_match_the_join_writer(tmp_path, n):
+    ds = _edge_value_dataset()
+    ds = RepresentationDataset(ds.factors[:n], ds.latents[:n], ds.factor_names, ds.latent_names, ds.cardinalities)
+    save_dataset(ds, str(tmp_path / "new.csv"))
+    _join_writer(ds, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert not (tmp_path / "new.csv.tmp").exists()
+
+
 def _discrete_dataset(n=2000, seed=3):
     rng = np.random.default_rng(seed)
     z = np.column_stack([rng.uniform(-1, 1, n), rng.integers(0, 4, n), rng.integers(0, 2, n)])
@@ -110,7 +185,7 @@ def _discrete_dataset(n=2000, seed=3):
 
 def test_roundtrip_bit_identical(tmp_path):
     path = tmp_path / "d.csv"
-    for ds in (synth.gen_sap_nonlinear(n=10000, seed=3), _discrete_dataset()):
+    for ds in (synth.gen_sap_nonlinear(n=10000, seed=3), _discrete_dataset(), _edge_value_dataset()):
         save_dataset(ds, str(path))
         back = load_dataset(str(path))
         assert np.array_equal(back.factor_matrix().view(np.uint64), ds.factor_matrix().view(np.uint64))
