@@ -29,7 +29,7 @@ from .metrics import InterventionConfig
 
 def _emit(text, out_path):
     if out_path:
-        _atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        _atomic_write(out_path, [text if text.endswith("\n") else text + "\n"])
     else:
         print(text)
 
@@ -137,7 +137,7 @@ def cmd_gen(args):
         "n": spec.n,
         "ground_truth": _jsonify(info),
     }
-    _atomic_write(args.out + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _atomic_write(args.out + ".meta.json", [json.dumps(sidecar, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -215,7 +215,7 @@ def cmd_correlate(args):
     _emit("\n".join(lines), args.out)
     pop_path = args.population_out or (args.out + ".population.json" if args.out else None)
     if pop_path:
-        _atomic_write(pop_path, json.dumps(population.to_dict(), indent=2, sort_keys=True) + "\n")
+        _atomic_write(pop_path, [json.dumps(population.to_dict(), indent=2, sort_keys=True) + "\n"])
     return 0
 
 

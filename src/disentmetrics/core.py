@@ -19,9 +19,9 @@ oracles from a seed via ``reseeded``.
 """
 
 import csv
+import itertools
 import json
 import os
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,22 +259,17 @@ def load_dataset(path, schema=None):
             roles = dict(parsed)
             order = names
 
-        # parse each row as it is read: only the float64 values are held
-        cells = array("d")
-        n_rows = 0
-        for n_rows, row in enumerate(reader, start=1):
-            if len(row) != len(names):
-                raise ParseError(f"row {n_rows} has {len(row)} cells, expected {len(names)}", row=n_rows)
-            for c, cell in enumerate(row):
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r} at row {n_rows}, column {names[c]}",
-                        row=n_rows,
-                        column=names[c],
-                    ) from None
-    table = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(names))
+        # one C parse of every data row; blank lines, which loadtxt would skip, are held back in `blank`
+        blank = []
+        lines = (line for line in fh if line.strip("\r\n") or blank.append(line))
+        first = next(lines, None)
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"', comments=None,
+                               dtype=np.float64, ndmin=2) if first else np.empty((0, len(names)))
+        except ValueError:
+            table = None
+    if blank or table is None or table.shape[1] != len(names):
+        _raise_first_fault(path, names)
 
     factors = [name for name in order if roles[name][0] == "factor"]
     latents = [name for name in order if roles[name][0] == "latent"]
@@ -291,21 +286,46 @@ def load_dataset(path, schema=None):
     return dataset
 
 
-def _atomic_write(path, text):
+def _raise_first_fault(path, names):
+    """Re-read a CSV that loadtxt refused, only to raise the ParseError of its first bad row or cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r, row in enumerate(reader, start=1):
+            if len(row) != len(names):
+                raise ParseError(f"row {r} has {len(row)} cells, expected {len(names)}", row=r)
+            for cell, col in zip(row, names):
+                try:  # float()'s grammar less what loadtxt refuses: digit underscores, non-ASCII digits
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric cell {cell!r} at row {r}, column {col}", row=r, column=col) from None
+    raise ParseError("data rows do not parse as one numeric table")
+
+
+def _atomic_write(path, chunks):
+    """Write strings to ``path`` through ``path.tmp``; on any failure ``path`` is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_dataset(dataset, path):
-    """Write a dataset as CSV with self-describing inline header suffixes."""
+    """Write a dataset as CSV with self-describing inline header suffixes, 2048 rows at a time."""
     header = [f"{name}:c" if card is None else f"{name}:d{card}"
               for name, card in zip(dataset.factor_names, dataset.cardinalities)]
     header.extend(dataset.latent_names)
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack([dataset.factors, dataset.latents]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    z, c, step = dataset.factors, dataset.latents, 2048
+    chunks = (np.hstack([z[s:s + step], c[s:s + step]]).tolist() for s in range(0, max(len(z), len(c)), step))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"],
+                                        ("".join(",".join(map(repr, row)) + "\n" for row in rows) for rows in chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +403,7 @@ def save_matrix(matrix, path):
     lines = [f"{k},{n}", ",".join(repr(float(h)) for h in matrix.factor_entropies)]
     for i in range(n):
         lines.append(",".join(repr(float(x)) for x in matrix.values[i]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [line + "\n" for line in lines])
 
 
 def load_matrix(path):

@@ -22,7 +22,7 @@ from .core import (
 BIN_STRATEGIES = ("quantile", "equal_width")
 
 
-def _prescaled(v):
+def prescaled(v):
     """``v`` (per column) times the power of two that brings its largest
     magnitude into [0.5, 1): exact, so no later step can overflow."""
     return np.ldexp(v, -np.frexp(np.abs(v).max(axis=0))[1])
@@ -68,7 +68,7 @@ def discretize(values, spec=BinningSpec()):
         ranks = np.empty(n, dtype=np.int64)
         ranks[order] = group_rank
         return (ranks * spec.bin_count) // n
-    v = _prescaled(v)
+    v = prescaled(v)
     lo, hi = v.min(), v.max()
     labels = np.floor((v - lo) / (hi - lo) * spec.bin_count).astype(np.int64)
     return np.clip(labels, 0, spec.bin_count - 1)
@@ -153,7 +153,11 @@ def linear_regression_r2(x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("x and y must share a length >= 2")
-    x, y = _prescaled(x), _prescaled(y)
+    return prescaled_r2(prescaled(x), prescaled(y))
+
+
+def prescaled_r2(x, y):
+    """:func:`linear_regression_r2` of two columns already passed through :func:`prescaled`."""
     vx = x.var()
     vy = y.var()
     if vx == 0.0 or vy == 0.0:
@@ -365,7 +369,7 @@ def _quantized(target, bag):
     """The target as int64 in a fixed unit: prescaled, centred and rounded to
     B = 62 - 2*ceil(log2(bag)) bits, so that for every node of m <= bag rows
     |S_L*m| and |S*l| stay below 2^62."""
-    y = _prescaled(target)
+    y = prescaled(target)
     y = y - y.mean()
     bits = 62 - 2 * (bag - 1).bit_length()
     return np.rint(np.ldexp(y, bits - np.frexp(np.abs(y).max())[1])).astype(np.int64)
@@ -398,12 +402,12 @@ def _forest_importances(latents, targets, config):
 def _lasso_importances(latents, target, config):
     """|coefficients| of an L1 fit by coordinate descent on standardized
     latents and a unit-variance target."""
-    x = _prescaled(latents)
+    x = prescaled(latents)
     x -= x.mean(axis=0)
     scale = x.std(axis=0)
     nz = scale > 0
     x[:, nz] /= scale[nz]
-    y = _prescaled(target)
+    y = prescaled(target)
     y = y - y.mean()
     sy = y.std()
     if sy == 0:

@@ -280,14 +280,16 @@ def sap_score(dataset):
         raise NotComputableError("sap needs at least 2 samples")
     n_latents, n_factors = dataset.n_latents, dataset.n_factors
     scores = np.zeros((n_latents, n_factors))
-    # one contiguous row per column: strided column views make the R^2 sums several times slower
+    # one contiguous row per column (strided views make the R^2 sums several times slower),
+    # prescaled for R^2 once per column rather than once per (latent, factor) pair
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
-    for j, (z, card) in enumerate(zip(factors, dataset.cardinalities)):
-        for i, c in enumerate(latents):
+    scaled_factors, scaled_latents = (estimators.prescaled(m.T).T for m in (factors, latents))
+    for j, card in enumerate(dataset.cardinalities):
+        for i in range(n_latents):
             if card is not None:
-                scores[i, j] = estimators.stump_accuracy(c, z)
+                scores[i, j] = estimators.stump_accuracy(latents[i], factors[j])
             else:
-                scores[i, j] = estimators.linear_regression_r2(c, z)
+                scores[i, j] = estimators.prescaled_r2(scaled_latents[i], scaled_factors[j])
     gaps = np.zeros(n_factors)
     selected = np.zeros(n_factors, dtype=np.int64)
     for j in range(n_factors):

@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from disentmetrics.core import (
     RepresentationDataset,
     SchemaError,
     ValidationError,
+    _atomic_write,
     load_dataset,
     load_matrix,
     load_schema,
@@ -148,6 +151,25 @@ def test_load_header_only_is_an_empty_column_without_warnings(tmp_path):
             load_dataset(p)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "١", "１.5"])
+def test_load_refuses_digit_underscores_and_non_ascii_digits(tmp_path, cell):
+    p = write(tmp_path / "d.csv", f"z:c,c\n0,1\n{cell},2\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(p)
+    assert (err.value.row, err.value.column) == (2, "z")
+
+
+def test_load_refuses_a_quoted_cell_that_holds_a_blank_line(tmp_path):
+    p = write(tmp_path / "d.csv", 'z:c,c\n"1\n\n",2\n')
+    with pytest.raises(ParseError, match="do not parse as one numeric table"):
+        load_dataset(p)
+
+
+def test_load_accepts_a_quoted_cell_that_spans_lines(tmp_path):
+    ds = load_dataset(write(tmp_path / "d.csv", 'z:c,c\n"1\n",2\n'))
+    assert ds.factors.tolist() == [[1.0]] and ds.latents.tolist() == [[2.0]]
+
+
 def _join_writer(dataset, path):
     """The one-string CSV writer the streamed ``save_dataset`` must match byte for byte."""
     header = [f"{name}:c" if card is None else f"{name}:d{card}"
@@ -174,6 +196,41 @@ def test_save_dataset_bytes_match_the_join_writer(tmp_path, n):
     _join_writer(ds, str(tmp_path / "old.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert not (tmp_path / "new.csv.tmp").exists()
+
+
+def _traced_peak_mib(fn):
+    """Peak of Python and numpy allocations made while ``fn`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_save_and_load_peaks_stay_bounded(tmp_path):
+    # the 8 MB file of the dataset-files benchmark: 20 columns of 20000 rows
+    spec = synth.parse_spec_string("entangled:K=10,level=0.5", seed=5, n=20000)
+    ds = synth.dataset_from_spec(spec)[0]
+    path = str(tmp_path / "big.csv")
+    assert _traced_peak_mib(lambda: save_dataset(ds, path)) <= 6.0
+    assert os.path.getsize(path) > 7_000_000
+    assert _traced_peak_mib(lambda: load_dataset(path)) <= 9.5
+
+
+def test_atomic_write_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+
+    def chunks():
+        yield "new,"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _atomic_write(str(path), chunks())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert not (tmp_path / "out.csv.tmp").exists()
 
 
 def _discrete_dataset(n=2000, seed=3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disentmetrics import metrics, synth
+from disentmetrics import estimators, metrics, synth
 from disentmetrics.core import (
     InformativenessMatrix,
     NotComputableError,
@@ -109,6 +109,21 @@ def test_sap_discrete_factor_uses_stump():
     ds = RepresentationDataset(z[:, None], np.column_stack([c1, rng.standard_normal(2000)]), cardinalities=[2])
     report = sap_score(ds)
     assert report.score > 0.9
+
+
+def test_sap_scores_equal_per_pair_r2_and_stump_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n = 500
+    z = np.column_stack([rng.standard_normal(n) * 1e300, rng.integers(0, 3, n), rng.uniform(-1e-300, 1e-300, n),
+                         np.full(n, 2.5)])
+    c = np.column_stack([z[:, 0] * 1e-290, rng.standard_normal(n), z[:, 2] + 1e-301 * rng.standard_normal(n),
+                         np.zeros(n), rng.standard_normal(n) * 3e307])
+    ds = RepresentationDataset(z, c, cardinalities=[None, 3, None, None])
+    expected = np.array([[estimators.stump_accuracy(c[:, i], z[:, j]) if card else
+                          estimators.linear_regression_r2(c[:, i], z[:, j])
+                          for j, card in enumerate(ds.cardinalities)] for i in range(c.shape[1])])
+    scores = sap_score(ds).intermediates["informativeness"]
+    assert np.array_equal(scores.view(np.uint64), expected.view(np.uint64))
 
 
 def test_sap_needs_two_latents():
