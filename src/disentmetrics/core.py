@@ -289,9 +289,7 @@ def load_dataset(path, schema=None):
 def _raise_first_fault(path, names):
     """Re-read a CSV that loadtxt refused, only to raise the ParseError of its first bad row or cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for r, row in enumerate(reader, start=1):
+        for r, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
             if len(row) != len(names):
                 raise ParseError(f"row {r} has {len(row)} cells, expected {len(names)}", row=r)
             for cell, col in zip(row, names):
@@ -324,8 +322,8 @@ def save_dataset(dataset, path):
     header.extend(dataset.latent_names)
     z, c, step = dataset.factors, dataset.latents, 2048
     chunks = (np.hstack([z[s:s + step], c[s:s + step]]).tolist() for s in range(0, max(len(z), len(c)), step))
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"],
-                                        ("".join(",".join(map(repr, row)) + "\n" for row in rows) for rows in chunks)))
+    text = ("".join(",".join(map(repr, row)) + "\n" for row in rows) for rows in chunks)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
 # ---------------------------------------------------------------------------

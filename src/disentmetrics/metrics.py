@@ -280,8 +280,7 @@ def sap_score(dataset):
         raise NotComputableError("sap needs at least 2 samples")
     n_latents, n_factors = dataset.n_latents, dataset.n_factors
     scores = np.zeros((n_latents, n_factors))
-    # one contiguous row per column (strided views make the R^2 sums several times slower),
-    # prescaled for R^2 once per column rather than once per (latent, factor) pair
+    # contiguous rows (strided views slow the R^2 sums), prescaled once each rather than once per pair
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
     scaled_factors, scaled_latents = (estimators.prescaled(m.T).T for m in (factors, latents))
     for j, card in enumerate(dataset.cardinalities):
