@@ -22,7 +22,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class DegenerateLabelsError(MetricsError):
     """A classifier was asked to fit fewer than two classes."""
 
 
-def _freeze(a, order="K"):
-    arr = np.array(a, dtype=np.float64, order=order)
+def _freeze(a, order="K", copy=True):
+    arr = (np.array if copy else np.asarray)(a, dtype=np.float64, order=order)
     arr.setflags(write=False)
     return arr
 
@@ -89,8 +89,8 @@ class RepresentationDataset:
     latent_names: tuple = None
     cardinalities: tuple = None
 
-    def __post_init__(self):
-        factors, latents = _freeze(self.factors, order="C"), _freeze(self.latents, order="C")
+    def __post_init__(self, copy=True):
+        factors, latents = _freeze(self.factors, "C", copy), _freeze(self.latents, "C", copy)
         if factors.ndim != 2 or latents.ndim != 2:
             raise ValueError("factors and latents must be 2-d (rows, columns) arrays")
         k, m = factors.shape[1], latents.shape[1]
@@ -108,6 +108,16 @@ class RepresentationDataset:
             raise ValueError("need one name per column and one cardinality per factor")
         if any(card is not None and card < 1 for card in self.cardinalities):
             raise ValueError("discrete factor needs cardinality >= 1")
+
+    @classmethod
+    def _adopt(cls, factors, latents, factor_names, latent_names, cardinalities):
+        """For loaders: the dataset over two fresh C-ordered float64 arrays
+        that nothing else references, frozen in place instead of copied."""
+        dataset = object.__new__(cls)
+        for f, value in zip(fields(cls), (factors, latents, factor_names, latent_names, cardinalities)):
+            object.__setattr__(dataset, f.name, value)
+        dataset.__post_init__(copy=False)
+        return dataset
 
     @property
     def n(self):
@@ -206,17 +216,33 @@ def _parse_role(token):
 def load_schema(path):
     """Read a sidecar schema file into an ordered name -> role mapping."""
     schema = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"bad schema line {line!r}")
-            name, role = line.split("=", 1)
-            _parse_role(role.strip())
-            schema[name.strip()] = role.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"schema line {_first_undecodable_line(path)} is not UTF-8 text") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"bad schema line {line!r}")
+        name, role = line.split("=", 1)
+        _parse_role(role.strip())
+        schema[name.strip()] = role.strip()
     return schema
+
+
+def _first_undecodable_line(path):
+    """The 1-based number of the first line of ``path`` (LF, CRLF or CR
+    ends) that is not UTF-8; no UTF-8 sequence holds those bytes, so each
+    line decodes alone."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
 
 
 def _split_header_token(token):
@@ -235,6 +261,31 @@ def load_dataset(path, schema=None):
     """
     if isinstance(schema, (str, os.PathLike)):
         schema = load_schema(schema)
+    try:
+        names, roles, order, table = _read_table(path, schema)
+    except UnicodeDecodeError:
+        line = _first_undecodable_line(path)
+        if line == 1:
+            raise ParseError("the header row is not UTF-8 text") from None
+        raise ParseError(f"row {line - 1} is not UTF-8 text", row=line - 1) from None
+
+    factors = [name for name in order if roles[name][0] == "factor"]
+    latents = [name for name in order if roles[name][0] == "latent"]
+    dataset = RepresentationDataset._adopt(
+        table.take([names.index(name) for name in factors], axis=1),
+        table.take([names.index(name) for name in latents], axis=1),
+        factors,
+        latents,
+        [roles[name][1] for name in factors],
+    )
+    issues = validate(dataset)
+    if issues:
+        raise ValidationError(issues)
+    return dataset
+
+
+def _read_table(path, schema):
+    """(header names, name -> role, column order, float64 table) of a CSV dataset."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -270,20 +321,7 @@ def load_dataset(path, schema=None):
             table = None
     if blank or table is None or table.shape[1] != len(names):
         _raise_first_fault(path, names)
-
-    factors = [name for name in order if roles[name][0] == "factor"]
-    latents = [name for name in order if roles[name][0] == "latent"]
-    dataset = RepresentationDataset(
-        table[:, [names.index(name) for name in factors]],
-        table[:, [names.index(name) for name in latents]],
-        factors,
-        latents,
-        [roles[name][1] for name in factors],
-    )
-    issues = validate(dataset)
-    if issues:
-        raise ValidationError(issues)
-    return dataset
+    return names, roles, order, table
 
 
 def _raise_first_fault(path, names):
@@ -406,8 +444,11 @@ def save_matrix(matrix, path):
 
 def load_matrix(path):
     """Read a .matrix file written by :func:`save_matrix`; provenance is external."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise ParseError(f"matrix line {_first_undecodable_line(path)} is not UTF-8 text") from None
     if not lines:
         raise ParseError("empty matrix file")
     try:

@@ -4,10 +4,14 @@ multinomial logistic classifier, majority-vote classification, and per-factor
 feature importances (bagged regression forest or lasso).
 
 Everything here is pure given (data, config, seed): repeated calls are
-bit-reproducible and safe to run concurrently.
+bit-reproducible and safe to run concurrently. The forest grows its trees
+on every usable CPU: contiguous blocks of trees run in forked child
+processes, and the caller replays their importance adds in tree order, so
+the result does not depend on the number of CPUs.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,14 +317,15 @@ class LassoConfig:
     tol: float = 1e-10
 
 
-def _grow_tree(q, order, vals, tied, max_depth, importance):
+def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
     """Grow one exact variance-reduction tree depth-first on the int64
-    target ``q`` (bag order), adding each split's gain
-    (S_L*m - S*l)^2 / (l*(m-l)*m) to ``importance``. ``order`` is the bag's
-    stable argsort per latent (N, bag); filtering a stable sort by a mark
-    gives the stable sort of the subset, so no node sorts again. ``vals``
-    holds the sorted values of the latents ``tied`` (those with a repeated
-    value in the bag), whose thresholds must fall between distinct values.
+    target ``q`` (bag order). Each split's gain (S_L*m - S*l)^2 / (l*(m-l)*m)
+    is shared equally by its latents: they are appended to ``credited`` and
+    their shares to ``shares``, in the order the splits are made. ``order``
+    is the bag's stable argsort per latent (N, bag); filtering a stable sort
+    by a mark gives the stable sort of the subset, so no node sorts again.
+    ``vals`` holds the sorted values of the latents ``tied`` (those with a
+    repeated value in the bag), whose thresholds must fall between distinct values.
     Latents tying on the best gain are grouped by their left row sets; the
     group with the smallest sorted row ids is split on and shares the gain,
     so the tree does not depend on the order of the latent columns."""
@@ -353,7 +358,8 @@ def _grow_tree(q, order, vals, tied, max_depth, importance):
             for f in feats:
                 groups.setdefault(tuple(np.sort(sorted_rows[f, :pos[f] + 1]).tolist()), []).append(f)
             feats = min(groups.items())[1]
-        importance[feats] += gain / len(feats)
+        credited.extend(feats)
+        shares.extend([gain / len(feats)] * len(feats))
         if depth + 1 >= max_depth:
             continue
         n_left = int(pos[feats[0]]) + 1
@@ -378,25 +384,112 @@ def _quantized(target, bag):
 def _forest_importances(latents, targets, config):
     """Raw summed impurity decrease per latent (one row per target), and
     the fraction of each target's bagged sum of squares it removed. Every
-    target shares the bag and presort of a tree, drawn from (seed, tree)."""
+    target shares the bag and presort of a tree, drawn from (seed, tree).
+    The trees are grown in blocks (see :func:`_in_blocks`); their adds are
+    replayed here in tree order, so every sum is the serial one."""
     n, n_latents = latents.shape
     bag = max(1, int(round(config.bag_fraction * n)))
     qs = [_quantized(target, bag) for target in targets]
-    importance = np.zeros((len(targets), n_latents))
-    root_sse = [0.0] * len(targets)
-    for t in range(config.n_trees):
-        idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
-        x = latents[idx].T
-        order = np.argsort(x, axis=1, kind="stable")
-        xs = np.take_along_axis(x, order, axis=1)
-        tied = np.flatnonzero((xs[:, 1:] <= xs[:, :-1]).any(axis=1))
-        for j, q in enumerate(qs):
-            qb = q[idx]
-            r = (qb * bag - qb.sum()).astype(np.float64)  # bag times the centred target, exact
-            root_sse[j] += float((r * r).sum()) / (bag * bag)
-            _grow_tree(qb, order, xs[tied], tied, config.max_depth, importance[j])
+
+    def grow(trees):
+        """Per target: the trees' root sum-of-squares terms and their
+        importance adds (latent ids and shares), in tree order."""
+        grown = [([], [], []) for _ in qs]
+        for t in trees:
+            idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
+            x = latents[idx].T
+            order = np.argsort(x, axis=1, kind="stable")
+            xs = np.take_along_axis(x, order, axis=1)
+            tied = np.flatnonzero((xs[:, 1:] <= xs[:, :-1]).any(axis=1))
+            for q, (sse_terms, credited, shares) in zip(qs, grown):
+                qb = q[idx]
+                r = (qb * bag - qb.sum()).astype(np.float64)  # bag times the centred target, exact
+                sse_terms.append(float((r * r).sum()) / (bag * bag))
+                _grow_tree(qb, order, xs[tied], tied, config.max_depth, credited, shares)
+        return grown
+
+    importance = [[0.0] * n_latents for _ in qs]
+    root_sse = [0.0] * len(qs)
+    for block in _in_blocks(grow, config.n_trees):
+        for j, (sse_terms, credited, shares) in enumerate(block):
+            for sse in sse_terms:
+                root_sse[j] += sse
+            row = importance[j]
+            for f, share in zip(credited, shares):
+                row[f] += share
     masses = [math.fsum(imp) / sse if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
-    return importance, masses
+    return np.array(importance), masses
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_blocks(block, count):
+    """``block(items)`` for each of ``w = min(usable CPUs, count)``
+    contiguous blocks of ``range(count)``, in block order. The caller runs
+    the first block; each other block runs in a forked child process that
+    sends its result back through a pipe. Every block runs in the caller
+    when ``w`` is 1, when the fork start method is missing, or when the
+    caller is a daemonic process (which may not have children)."""
+    w = min(_usable_cpus(), count)
+    blocks = [range(count * i // w, count * (i + 1) // w) for i in range(w)]
+    if w > 1:
+        import multiprocessing  # here, not at the top: most callers never fork
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            return _forked(block, blocks, multiprocessing.get_context("fork"))
+    return [block(items) for items in blocks]
+
+
+def _forked(block, blocks, context):
+    """:func:`_in_blocks` with ``blocks[1:]`` in one forked child each. On
+    any error or interrupt the children are terminated and joined before
+    it propagates; no partial result is returned."""
+    children, pipes = [], []
+    try:
+        for items in blocks[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            pipes.append(receiver)
+            child = context.Process(target=_send_block, args=(sender, block, items), daemon=True)
+            child.start()
+            children.append(child)
+            sender.close()
+        results = [block(blocks[0])]
+        for receiver in pipes:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                raise ChildProcessError("a forest worker process exited without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        for child in children:
+            child.join()
+        return results
+    except BaseException:
+        for child in children:
+            child.terminate()
+        for child in children:
+            child.join()
+        raise
+    finally:
+        for receiver in pipes:
+            receiver.close()
+
+
+def _send_block(sender, block, items):
+    """Body of a forked child: send ``(True, block(items))``, or ``(False, error)``."""
+    try:
+        message = (True, block(items))
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
+    sender.close()
 
 
 def _lasso_importances(latents, target, config):

@@ -245,6 +245,14 @@ def test_eval_matrix_with_negative_latent_count_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "K and N must be >= 1" in err
 
 
+def test_eval_dataset_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"z:c,c\n0,1\n\xff,2\n")
+    code, out, err = run(["eval", "--dataset", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: row 2 is not UTF-8 text\n"
+
+
 def test_eval_oracle_betavae_full_regime(capsys):
     code, out, _ = run([
         "eval", "--oracle", "betavae-counterexample", "--metrics", "betavae", "--seed", "11",

@@ -170,6 +170,35 @@ def test_load_accepts_a_quoted_cell_that_spans_lines(tmp_path):
     assert ds.factors.tolist() == [[1.0]] and ds.latents.tolist() == [[2.0]]
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("rows, bad_row", [(1, 2), (5000, 4000)])
+def test_load_names_the_row_that_is_not_utf8(tmp_path, rows, bad_row, end):
+    lines = [b"z:c,c"] + [b"%d,1" % r for r in range(rows)]
+    lines.insert(bad_row, b"\xff,2")  # far rows fail inside loadtxt, near ones on the first read
+    path = tmp_path / "d.csv"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(ParseError, match=f"^row {bad_row} is not UTF-8 text$") as err:
+        load_dataset(str(path))
+    assert err.value.row == bad_row
+    path.write_bytes(b"z\xe9:c,c\n0,1\n")
+    with pytest.raises(ParseError, match="^the header row is not UTF-8 text$"):
+        load_dataset(str(path))
+
+
+def test_load_schema_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "s.schema"
+    path.write_bytes(b"# roles\nz=factor:c\nc\xff=latent\n")
+    with pytest.raises(ParseError, match="^schema line 3 is not UTF-8 text$"):
+        load_schema(str(path))
+
+
+def test_load_matrix_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.matrix"
+    path.write_bytes(b"1,2\n1.0\n0.5\n0.\xc35\n")
+    with pytest.raises(ParseError, match="^matrix line 4 is not UTF-8 text$"):
+        load_matrix(str(path))
+
+
 def _join_writer(dataset, path):
     """The one-string CSV writer the streamed ``save_dataset`` must match byte for byte."""
     header = [f"{name}:c" if card is None else f"{name}:d{card}"
@@ -216,7 +245,7 @@ def test_csv_save_and_load_peaks_stay_bounded(tmp_path):
     path = str(tmp_path / "big.csv")
     assert _traced_peak_mib(lambda: save_dataset(ds, path)) <= 6.0
     assert os.path.getsize(path) > 7_000_000
-    assert _traced_peak_mib(lambda: load_dataset(path)) <= 9.5
+    assert _traced_peak_mib(lambda: load_dataset(path)) <= 7.0
 
 
 def test_atomic_write_failure_keeps_the_old_file(tmp_path):
@@ -258,6 +287,9 @@ def test_dataset_stores_frozen_c_ordered_matrices():
     for m in (ds.factors, ds.latents):
         assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
     assert np.array_equal(ds.factors, z) and ds.factors is not z
+    frozen = np.arange(3.0).reshape(3, 1)
+    frozen.setflags(write=False)
+    assert not np.shares_memory(RepresentationDataset(frozen, frozen).factors, frozen)  # caller arrays are copied
     assert ds.latent_matrix() is ds.latents and ds.factor_matrix() is ds.factors
     assert (ds.n, ds.n_factors, ds.n_latents) == (3, 2, 1)
     assert ds.factor_names == ("z1", "z2") and ds.latent_names == ("c1",)

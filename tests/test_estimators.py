@@ -1,9 +1,17 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disentmetrics import synth
+from disentmetrics import estimators, synth
 from disentmetrics.core import DegenerateLabelsError, RepresentationDataset
 from disentmetrics.estimators import (
     BinningSpec,
@@ -520,73 +528,18 @@ def test_forest_bits_match_reference_entangled():
 # --- the previous forest, as a tolerance reference ---------------------------
 # The float forest that gave exact gain ties to the lowest latent index. The
 # integer forest splits near-ties differently, so DCI moves, but only a little.
-
-
-def _old_sse(total, total_sq, count):
-    return total_sq - total * total / count
-
-
-def _old_grow_tree(x, y, order, max_depth, importance):
-    n_latents = x.shape[1]
-    feats = np.arange(n_latents)
-    in_left = np.zeros(y.size, dtype=bool)
-    stack = [(np.arange(y.size), order, 0)]
-    while stack:
-        rows, sorted_rows, depth = stack.pop()
-        m = rows.size
-        if depth >= max_depth or m < 2:
-            continue
-        y_node = y[rows]
-        total = y_node.sum()
-        total_sq = (y_node * y_node).sum()
-        sse_node = _old_sse(total, total_sq, m)
-        if sse_node <= 0.0:
-            continue
-        ys = y[sorted_rows]
-        cy = np.cumsum(ys, axis=1)[:, :-1]
-        cy2 = np.cumsum(ys * ys, axis=1)[:, :-1]
-        left = np.arange(1.0, m)
-        gains = sse_node - _old_sse(cy, cy2, left) - _old_sse(total - cy, total_sq - cy2, m - left)
-        xs = x[sorted_rows, feats[:, None]]
-        gains = np.where(xs[:, 1:] > xs[:, :-1], gains, -np.inf)
-        best_gain, feat = 0.0, -1
-        for f, gain in enumerate(gains.max(axis=1).tolist()):
-            if gain > best_gain:
-                best_gain, feat = gain, f
-        if feat < 0:
-            continue
-        importance[feat] += best_gain
-        if depth + 1 >= max_depth:
-            continue
-        n_left = int(gains[feat].argmax()) + 1
-        in_left[sorted_rows[feat, :n_left]] = True
-        row_left = in_left[rows]
-        sorted_left = in_left[sorted_rows]
-        stack.append((rows[row_left], sorted_rows[sorted_left].reshape(n_latents, n_left), depth + 1))
-        stack.append((rows[~row_left], sorted_rows[~sorted_left].reshape(n_latents, m - n_left), depth + 1))
-        in_left[sorted_rows[feat, :n_left]] = False
-
-
-def _old_importances(dataset, config=ForestConfig()):
-    latents, n = dataset.latent_matrix(), dataset.n
-    bag = max(1, int(round(config.bag_fraction * n)))
-    importance = np.zeros((dataset.n_factors, dataset.n_latents))
-    for t in range(config.n_trees):
-        idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
-        x = latents[idx]
-        order = np.argsort(x.T, axis=1, kind="stable")
-        for j in range(dataset.n_factors):
-            _old_grow_tree(x, dataset.factors[idx, j], order, config.max_depth, importance[j])
-    return np.column_stack([r / r.sum() if r.sum() > 0 else r for r in importance])
+# Its DCI on the 50 specs below is frozen, as repr floats, in
+# golden/forest_previous_dci.json.
 
 
 def test_forest_dci_stays_near_the_previous_forest_on_the_population():
+    previous = json.loads((Path(__file__).parent / "golden" / "forest_previous_dci.json").read_text())["dci"]
+    assert len(previous) == 50
     worst = 0.0
-    for i in range(50):
+    for i, old in enumerate(previous):
         spec = synth.GeneratorSpec("entangled", {"level": i / 49, "K": 4}, seed=100 + i, n=2000)
         dataset = synth.dataset_from_spec(spec)[0]
-        new = dci_score(importance_matrix_from_dataset(dataset)[0]).score
-        worst = max(worst, abs(new - dci_score(_old_importances(dataset)).score))
+        worst = max(worst, abs(dci_score(importance_matrix_from_dataset(dataset)[0]).score - old))
     assert worst <= 5e-4
 
 
@@ -629,3 +582,109 @@ def test_quantized_targets_keep_node_sums_inside_int64():
         assert worst < 2**63
         if 2 <= bag <= 2**16:
             assert worst >= 2**58  # most of the int64 range still carries target bits
+
+
+# --- the forest's trees on every usable CPU ------------------------------------
+# The worker count is forced through estimators._usable_cpus; every worker
+# count must give the reference's bits.
+
+
+def _fan_out_case():
+    rng = np.random.default_rng(404)
+    latents = np.round(rng.standard_normal((150, 3)), 1)
+    factors = np.column_stack([latents @ rng.standard_normal(3) + 0.3 * rng.standard_normal(150),
+                               np.digitize(latents[:, 1], [-0.5, 0.5])])
+    return RepresentationDataset(factors, latents, cardinalities=(None, 3))
+
+
+def _forest_values(dataset, n_trees):
+    return importance_matrix_from_dataset(dataset, "forest", ForestConfig(n_trees=n_trees, max_depth=4, seed=9))
+
+
+@pytest.mark.parametrize("n_trees", [1, 7, 50])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forest_bits_do_not_depend_on_the_worker_count(monkeypatch, workers, n_trees):
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: workers)
+    dataset = _fan_out_case()
+    config = ForestConfig(n_trees=n_trees, max_depth=4, seed=9)
+    matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
+    ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
+    assert np.array_equal(matrix.values.view(np.uint64), ref_matrix.view(np.uint64))
+    assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
+
+
+def test_blocks_are_contiguous_and_run_in_forked_children(monkeypatch):
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    blocks = estimators._in_blocks(lambda items: (os.getpid(), list(items)), 7)
+    assert [items for _, items in blocks] == [[0, 1], [2, 3], [4, 5, 6]]
+    pids = [pid for pid, _ in blocks]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert estimators._in_blocks(lambda items: list(items), 2) == [[0], [1]]
+
+
+def _forest_bits_in_pool_worker(n_trees):
+    assert multiprocessing.current_process().daemon
+    matrix, masses = _forest_values(_fan_out_case(), n_trees)
+    return matrix.values.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist()
+
+
+def test_forest_runs_in_process_inside_a_daemonic_pool_worker(monkeypatch):
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)  # inherited by the forked pool worker
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        bits = pool.apply_async(_forest_bits_in_pool_worker, (7,)).get(timeout=60)
+        pool.close()
+        pool.join()
+    matrix, masses = _forest_values(_fan_out_case(), 7)
+    assert bits == (matrix.values.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_block_raises_and_leaves_no_child(monkeypatch, where):
+    parent, grow = os.getpid(), estimators._grow_tree
+
+    def failing_grow(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"tree failed in the {where}")
+        if where == "parent":
+            time.sleep(60)  # children still growing when the parent fails are terminated, not awaited
+        grow(*args)
+
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(estimators, "_grow_tree", failing_grow)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"tree failed in the {where}"):
+        _forest_values(_fan_out_case(), 7)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_forest_calls_from_concurrent_threads_give_identical_bits(monkeypatch):
+    dataset = _fan_out_case()
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+    serial = _forest_values(dataset, 12)[0].values
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = _forest_values(dataset, 12)[0].values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for values in results:
+        assert np.array_equal(values.view(np.uint64), serial.view(np.uint64))
+
+
+def test_importing_the_package_does_not_import_multiprocessing():
+    code = "import sys, disentmetrics.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
