@@ -4,7 +4,6 @@ and cross-metric analysis tooling."""
 
 from .core import (
     DEFAULT_SEED,
-    ImportanceMatrix,
     InformativenessMatrix,
     MetricReport,
     MetricsError,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_SEED",
     "BinningSpec",
     "ComparisonReport",
-    "ImportanceMatrix",
     "InformativenessMatrix",
     "InterventionConfig",
     "MetricReport",

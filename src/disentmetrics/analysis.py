@@ -24,11 +24,8 @@ def _average_ranks(x):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ranks = np.empty(x.size)
-    start = 0
-    for i in range(1, x.size + 1):
-        if i == x.size or xs[i] != xs[start]:
-            ranks[order[start:i]] = 0.5 * (start + i - 1)
-            start = i
+    # a tie run [start, stop) of the sorted values shares rank (start + stop - 1) / 2
+    ranks[order] = 0.5 * (np.searchsorted(xs, xs, "left") + np.searchsorted(xs, xs, "right") - 1)
     return ranks
 
 
@@ -166,9 +163,7 @@ def compare(rep_a, rep_b, metrics=None, labels=("a", "b"), binning=BinningSpec()
         reports = metrics_mod.evaluate_all(rep, metrics=metrics, binning=binning)
         for r in reports:
             if r.skipped:
-                # name the metric once, whether or not the reason already does
-                named = repr(r.metric) in r.skip_reason
-                raise NotComputableError(r.skip_reason if named else f"metric {r.metric!r}: {r.skip_reason}")
+                raise NotComputableError(f"metric {r.metric!r}: {r.skip_reason}")
         columns.append([r.score for r in reports])
     scores = dict(zip(metrics, zip(*columns)))
     preferred = {name: labels[0] if sa > sb else labels[1] if sb > sa else None

@@ -1,4 +1,4 @@
-"""Dataset model, interventional oracle, matrix types, IO, and metric reports.
+"""Dataset model, interventional oracle, informativeness matrix, IO, and metric reports.
 
 Data layout conventions used throughout the package:
 
@@ -8,11 +8,13 @@ Data layout conventions used throughout the package:
   ``c1..cN`` by default) and one cardinality per factor: None for a
   continuous factor, k for a discrete one;
 * informativeness and importance matrices are (N, K): entry [i, j] scores
-  how much latent i tells about factor j;
+  how much latent i tells about factor j. An informativeness matrix is an
+  :class:`InformativenessMatrix` (values plus factor entropies); an
+  importance matrix is a plain array, checked where DCI scores it;
 * all values are float64; discrete factors are floats with integral values
   in {0, ..., cardinality-1}.
 
-Datasets and matrices are immutable after construction (backing arrays are
+Datasets and informativeness matrices are immutable after construction (backing arrays are
 marked read-only) and safe to share across threads. Oracles hold mutable
 RNG state and must be confined to a single thread; create per-thread
 oracles from a seed via ``reseeded``.
@@ -27,9 +29,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 DEFAULT_SEED = 7
-
-PROVENANCES = ("mutual_information", "external")
-
 
 class MetricsError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -365,60 +364,32 @@ def save_dataset(dataset, path):
 
 
 # ---------------------------------------------------------------------------
-# Informativeness / importance matrices and the .matrix file format
+# Informativeness matrices and the .matrix file format
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class InformativenessMatrix:
-    """(N, K) scores of how much latent i tells about factor j, plus H(z_j).
-
-    ``factor_entropies`` are in nats. When provenance is mutual_information,
-    every column is bounded by the matching factor entropy.
+    """(N, K) finite, non-negative scores of how much latent i tells about
+    factor j, plus the K factor entropies H(z_j) in nats. Entries are not
+    bounded by the entropies: the estimator that builds a matrix checks
+    its own bound (see :func:`estimators.informativeness_from_mi`).
     """
 
     values: np.ndarray
     factor_entropies: np.ndarray
-    provenance: str = "external"
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
         h = np.atleast_1d(np.asarray(self.factor_entropies, dtype=np.float64))
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if v.ndim != 2 or h.ndim != 1 or v.shape[1] != h.size:
             raise ValueError("matrix must be (N, K) with K factor entropies")
         if not np.isfinite(v).all() or not np.isfinite(h).all():
             raise ValueError("non-finite entries")
         if (v < 0).any():
             raise ValueError("negative informativeness entry")
-        if self.provenance == "mutual_information" and (v > h[None, :] + 1e-9).any():
-            raise ValueError("mutual information exceeds factor entropy")
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "factor_entropies", _freeze(h))
-
-    @property
-    def n_latents(self):
-        return self.values.shape[0]
-
-    @property
-    def n_factors(self):
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ImportanceMatrix:
-    """(N, K) non-negative regressor importances P[i, j] of latent i for factor j."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        if not np.isfinite(v).all():
-            raise ValueError("non-finite importance")
-        if (v < 0).any():
-            raise ValueError("negative importance")
-        object.__setattr__(self, "values", _freeze(v))
 
     @property
     def n_latents(self):
@@ -443,7 +414,7 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
-    """Read a .matrix file written by :func:`save_matrix`; provenance is external."""
+    """Read a .matrix file written by :func:`save_matrix`."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -466,7 +437,7 @@ def load_matrix(path):
         raise ParseError(f"non-numeric matrix entry: {exc}") from None
     if len(entropies) != k or any(len(r) != k for r in rows):
         raise ParseError("matrix row width does not match header K")
-    return InformativenessMatrix(np.array(rows), np.array(entropies), provenance="external")
+    return InformativenessMatrix(np.array(rows), np.array(entropies))
 
 
 # ---------------------------------------------------------------------------

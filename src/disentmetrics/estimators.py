@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DegenerateLabelsError,
-    ImportanceMatrix,
     InformativenessMatrix,
     NotComputableError,
 )
@@ -134,7 +133,8 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
 
     Latents are always discretized; factor entropies are the plug-in
     entropies of the encoded factors, so an invertible latent map can reach
-    I[i, j] = H(z_j) exactly.
+    I[i, j] = H(z_j) exactly, and no entry may exceed it by more than 1e-9
+    (``ValueError`` otherwise: a fault in the estimator, not in the data).
     """
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
     # each column is coded once, not once per pair it takes part in
@@ -145,7 +145,9 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
         for j, b in enumerate(factor_codes):
             values[i, j] = _mutual_information(a, b)
     entropies = np.array([_entropy(*b) for b in factor_codes])
-    return InformativenessMatrix(values, entropies, provenance="mutual_information")
+    if (values > entropies + 1e-9).any():
+        raise ValueError("mutual information exceeds factor entropy")
+    return InformativenessMatrix(values, entropies)
 
 
 def linear_regression_r2(x, y):
@@ -528,22 +530,18 @@ def _lasso_importances(latents, target, config):
     return np.abs(w), r2
 
 
-def _importances_with_mass(latents, targets, method, config):
-    """Per-latent importances for each target (one row per target),
-    normalized to sum to 1 for the forest (all zeros for a constant
-    target), plus each target's explained mass."""
-    if method == "forest":
-        raw, masses = _forest_importances(latents, targets, config or ForestConfig())
-        return [r / math.fsum(r) if r.any() else r for r in raw], masses
-    if method == "lasso":
-        fits = [_lasso_importances(latents, t, config or LassoConfig()) for t in targets]
-        return [w for w, _ in fits], [r2 for _, r2 in fits]
-    raise ValueError(f"unknown importance method {method!r}")
-
-
 def importance_matrix_from_dataset(dataset, method="forest", config=None):
-    """(N, K) importance matrix plus the per-factor explained-mass diagnostics."""
+    """(N, K) importance matrix (column j: each latent's importance for
+    factor j, summing to 1 for the forest, all zeros for a constant factor)
+    plus the (K,) explained mass per factor."""
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
-    columns, masses = _importances_with_mass(dataset.latent_matrix(), dataset.factors.T, method, config)
-    return ImportanceMatrix(np.column_stack(columns)), np.array(masses)
+    latents, targets = dataset.latent_matrix(), dataset.factors.T
+    if method == "forest":
+        raw, masses = _forest_importances(latents, targets, config or ForestConfig())
+        columns = [r / math.fsum(r) if r.any() else r for r in raw]
+    elif method == "lasso":
+        columns, masses = zip(*(_lasso_importances(latents, t, config or LassoConfig()) for t in targets))
+    else:
+        raise ValueError(f"unknown importance method {method!r}")
+    return np.column_stack(columns), np.array(masses)

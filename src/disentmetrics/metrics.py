@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ImportanceMatrix,
     InformativenessMatrix,
     MetricReport,
     NotComputableError,
@@ -65,11 +64,30 @@ def _spawn_seeds(seed, count, domain=0):
     return [int(s.generate_state(1)[0]) for s in root.spawn(count)]
 
 
-def _top_two_gap(column):
-    """(argmax index, top value, runner-up value); first index wins ties."""
-    i = int(np.argmax(column))
-    rest = np.delete(column, i)
-    return i, float(column[i]), float(rest.max())
+def _column_gaps(values):
+    """Per column of ``values`` (at least two rows): the row of its largest
+    entry (first index wins ties) and that entry minus the runner-up."""
+    rows, cols = np.argmax(values, axis=0), np.arange(values.shape[1])
+    rest = np.array(values)
+    rest[rows, cols] = -np.inf
+    return rows, values[rows, cols] - rest.max(axis=0)
+
+
+def _factor_gap_report(metric, values, normalizers, **intermediates):
+    """SAP's and MIG's reduction of an (N, K) matrix: the mean over factors
+    of the gap between the column's two largest entries over the factor's
+    normalizer, clipped to [0, 1]."""
+    if values.shape[0] < 2:
+        raise NotComputableError("needs at least 2 latent dimensions")
+    if values.shape[1] < 1:
+        raise NotComputableError("needs at least 1 generative factor")
+    selected, gaps = _column_gaps(values)
+    gaps = gaps / normalizers
+    return MetricReport(
+        metric=metric,
+        score=float(np.clip(gaps.mean(), 0.0, 1.0)),
+        intermediates={**intermediates, "per_factor_gaps": gaps, "selected_latents": selected},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +121,7 @@ def beta_vae_score(oracle, config=InterventionConfig()):
     disjoint seeded stream; train accuracy is reported alongside.
     """
     if oracle.n_factors < 2:
-        raise NotComputableError("betavae needs at least 2 generative factors")
+        raise NotComputableError("needs at least 2 generative factors")
     seeds = _spawn_seeds(config.seed, 4, domain=1)
     train_feats, train_labels = _betavae_points(
         oracle.reseeded(seeds[0]), np.random.default_rng(seeds[1]),
@@ -166,7 +184,7 @@ def factor_vae_score(oracle, config=InterventionConfig()):
     from the variance argmin.
     """
     if oracle.n_factors < 2:
-        raise NotComputableError("factorvae needs at least 2 generative factors")
+        raise NotComputableError("needs at least 2 generative factors")
     seeds = _spawn_seeds(config.seed, 5, domain=2)
     _, ref_latents = oracle.reseeded(seeds[0]).sample(FACTORVAE_REFERENCE_DRAWS)
     ref_std = ref_latents.std(axis=0)
@@ -209,15 +227,16 @@ def factor_vae_score(oracle, config=InterventionConfig()):
 def dci_score(importances):
     """Importance-weighted sum of per-latent disentanglement scores.
 
-    Each latent's importance row is normalized to a distribution over
-    factors; its score is one minus the base-K entropy of that
-    distribution, and rows are weighted by their share of total
-    importance. Rows with zero total importance contribute nothing.
+    ``importances`` is an (N, K) array-like of finite, non-negative
+    entries (:class:`NotComputableError` otherwise). Each latent's
+    importance row is normalized to a distribution over factors; its score
+    is one minus the base-K entropy of that distribution, and rows are
+    weighted by their share of total importance. Rows with zero total
+    importance contribute nothing.
     """
-    p = importances.values if isinstance(importances, ImportanceMatrix) else np.asarray(importances, dtype=np.float64)
-    p = np.atleast_2d(p)
-    if (p < 0).any():
-        raise ValueError("importances must be non-negative")
+    p = np.atleast_2d(np.asarray(importances, dtype=np.float64))
+    if p.ndim != 2 or not np.isfinite(p).all() or (p < 0).any():
+        raise NotComputableError("importances must be an (N, K) matrix of finite, non-negative entries")
     n_latents, n_factors = p.shape
     row_sums = p.sum(axis=1)
     # reduce in value order so permuting latent rows cannot move the float sum
@@ -255,7 +274,7 @@ def dci_from_dataset(dataset, method="forest", config=None):
     of the factor variance."""
     matrix, masses = estimators.importance_matrix_from_dataset(dataset, method, config)
     report = dci_score(matrix)
-    report.intermediates["importances"] = matrix.values
+    report.intermediates["importances"] = matrix
     report.intermediates["explained_mass_per_factor"] = masses
     report.intermediates["low_informativeness"] = bool(masses.mean() < LOW_IMPORTANCE_MASS)
     report.config = {"method": method}
@@ -274,36 +293,19 @@ def sap_score(dataset):
     R-squared; a discrete factor uses best-threshold stump accuracy
     rescaled from the majority-class baseline.
     """
-    if dataset.n_latents < 2:
-        raise NotComputableError("sap needs at least 2 latent dimensions")
     if dataset.n < 2:
-        raise NotComputableError("sap needs at least 2 samples")
-    n_latents, n_factors = dataset.n_latents, dataset.n_factors
-    scores = np.zeros((n_latents, n_factors))
+        raise NotComputableError("needs at least 2 samples")
+    scores = np.zeros((dataset.n_latents, dataset.n_factors))
     # contiguous rows (strided views slow the R^2 sums), prescaled once each rather than once per pair
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
     scaled_factors, scaled_latents = (estimators.prescaled(m.T).T for m in (factors, latents))
     for j, card in enumerate(dataset.cardinalities):
-        for i in range(n_latents):
+        for i in range(dataset.n_latents):
             if card is not None:
                 scores[i, j] = estimators.stump_accuracy(latents[i], factors[j])
             else:
                 scores[i, j] = estimators.prescaled_r2(scaled_latents[i], scaled_factors[j])
-    gaps = np.zeros(n_factors)
-    selected = np.zeros(n_factors, dtype=np.int64)
-    for j in range(n_factors):
-        i_j, top, second = _top_two_gap(scores[:, j])
-        selected[j] = i_j
-        gaps[j] = top - second
-    return MetricReport(
-        metric="sap",
-        score=float(np.clip(gaps.mean(), 0.0, 1.0)),
-        intermediates={
-            "informativeness": scores,
-            "per_factor_gaps": gaps,
-            "selected_latents": selected,
-        },
-    )
+    return _factor_gap_report("sap", scores, 1.0, informativeness=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +316,10 @@ def sap_score(dataset):
 def mig_score(matrix):
     """Mean over factors of the entropy-normalized gap between the two
     largest mutual-information entries in the factor's column."""
-    if matrix.n_latents < 2:
-        raise NotComputableError("mig needs at least 2 latent dimensions")
     for j, h in enumerate(matrix.factor_entropies):
         if h <= 0:
             raise NotComputableError(f"factor {j} has zero entropy")
-    n_factors = matrix.n_factors
-    gaps = np.zeros(n_factors)
-    selected = np.zeros(n_factors, dtype=np.int64)
-    for j in range(n_factors):
-        i_j, top, second = _top_two_gap(matrix.values[:, j])
-        selected[j] = i_j
-        gaps[j] = (top - second) / matrix.factor_entropies[j]
-    return MetricReport(
-        metric="mig",
-        score=float(np.clip(gaps.mean(), 0.0, 1.0)),
-        intermediates={"per_factor_gaps": gaps, "selected_latents": selected},
-    )
+    return _factor_gap_report("mig", matrix.values, matrix.factor_entropies)
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +342,10 @@ def three_charm_score(matrix):
         raise NotComputableError("total factor entropy is zero")
     values = matrix.values
     n_latents, n_factors = values.shape
-    claimed = np.zeros(n_latents, dtype=np.int64)
-    disentanglement = np.zeros(n_latents)
-    for i in range(n_latents):
-        if n_factors == 1:
-            claimed[i] = 0
-            disentanglement[i] = float(values[i, 0])
-            continue
-        j_i, top, second = _top_two_gap(values[i])
-        claimed[i] = j_i
-        disentanglement[i] = top - second
+    if n_factors == 1:
+        claimed, disentanglement = np.zeros(n_latents, dtype=np.int64), values[:, 0]
+    else:
+        claimed, disentanglement = _column_gaps(values.T)
     best_latent = np.full(n_factors, -1, dtype=np.int64)
     factor_scores = np.zeros(n_factors)
     for j in range(n_factors):
@@ -495,7 +478,7 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
         try:
             if needs not in supplies:
                 raise NotComputableError(
-                    f"metric {name!r} cannot be computed from a matrix" if is_matrix
+                    "cannot be computed from a matrix" if is_matrix
                     else "requires interventional oracle"
                 )
             report = scorer(inputs)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_SEED,
-    ImportanceMatrix,
     InformativenessMatrix,
     RepresentationDataset,
     RepresentationOracle,
@@ -125,15 +124,15 @@ DCI_MATRIX_CASES = ("eleven_factor", "two_factor")
 
 
 def gen_dci_matrix(case):
-    """The two fixed importance matrices with known DCI scores:
+    """The two fixed (N, K) importance arrays with known DCI scores:
     ``eleven_factor`` (11x11, diagonal 0.8, off-diagonal 0.02 -> 0.600) and
     ``two_factor`` (rows (1, 0) and (0.01, 0.09) -> 0.957)."""
     if case == "eleven_factor":
         p = np.full((11, 11), 0.02)
         np.fill_diagonal(p, 0.8)
-        return ImportanceMatrix(p)
+        return p
     if case == "two_factor":
-        return ImportanceMatrix(np.array([[1.0, 0.0], [0.01, 0.09]]))
+        return np.array([[1.0, 0.0], [0.01, 0.09]])
     raise ValueError(f"unknown DCI matrix case {case!r} (known: {', '.join(DCI_MATRIX_CASES)})")
 
 
@@ -152,7 +151,7 @@ def gen_parametric_matrix(eps, eps1):
         [eps1, eps1],
         [0.0, eps],
     ])
-    return InformativenessMatrix(values, np.ones(2), provenance="external")
+    return InformativenessMatrix(values, np.ones(2))
 
 
 def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
@@ -227,7 +226,6 @@ def gen_comparison_matrices(case):
                 [0.0, 0.95],
             ]),
             np.ones(2),
-            provenance="external",
         )
         b = InformativenessMatrix(
             np.array([
@@ -235,7 +233,6 @@ def gen_comparison_matrices(case):
                 [0.3, 0.8],
             ]),
             np.ones(2),
-            provenance="external",
         )
         return a, b
     if case == "dci_vs_3charm":
@@ -245,7 +242,6 @@ def gen_comparison_matrices(case):
                 [0.15, 0.8],
             ]),
             np.ones(2),
-            provenance="external",
         )
         b = InformativenessMatrix(
             np.array([
@@ -255,7 +251,6 @@ def gen_comparison_matrices(case):
                 [0.51, 0.49],
             ]),
             np.ones(2),
-            provenance="external",
         )
         return a, b
     raise ValueError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from disentmetrics import estimators, synth
-from disentmetrics.analysis import compare, correlate_metrics, spearman
+from disentmetrics.analysis import _average_ranks, compare, correlate_metrics, spearman
 from disentmetrics.core import NotComputableError, RepresentationDataset
 from disentmetrics.synth import GeneratorSpec
 
@@ -50,6 +50,30 @@ def test_spearman_monotone_invariant():
     a = rng.normal(size=40)
     b = rng.normal(size=40)
     assert spearman(np.exp(a), b) == pytest.approx(spearman(a, b), abs=1e-12)
+
+
+def _loop_average_ranks(x):
+    """Reference: walk the stably sorted values run by run."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ranks = np.empty(x.size)
+    start = 0
+    for i in range(1, x.size + 1):
+        if i == x.size or xs[i] != xs[start]:
+            ranks[order[start:i]] = 0.5 * (start + i - 1)
+            start = i
+    return ranks
+
+
+def test_average_ranks_match_the_tie_run_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        pool = rng.integers(-3, 4, size=int(rng.integers(1, 6))) * 0.5
+        x = rng.choice(np.concatenate([pool, [0.0, -0.0]]), size=int(rng.integers(1, 60)))
+        assert np.array_equal(_average_ranks(x).view(np.uint64), _loop_average_ranks(x).view(np.uint64))
+    x = rng.standard_normal(50)
+    assert np.array_equal(_average_ranks(x), _loop_average_ranks(x))
 
 
 # --- correlate_metrics -----------------------------------------------------
@@ -139,6 +163,7 @@ def test_compare_rejects_dataset_metric_on_matrix():
     with pytest.raises(NotComputableError) as err:
         compare(a, b, metrics=["sap"])
     assert "sap" in str(err.value)
+    assert str(err.value) == "metric 'sap': cannot be computed from a matrix"
 
 
 def test_compare_datasets():

@@ -235,6 +235,8 @@ def test_eval_matrix_rejects_oracle_metric(tmp_path, capsys):
     code, _, err = run(["eval", "--matrix", str(path), "--metrics", "betavae"], capsys)
     assert code == 1
     assert "matrix" in err
+    code, _, err = run(["eval", "--matrix", str(path), "--metrics", "sap"], capsys)
+    assert err == "error: metric 'sap' not computable on this input: cannot be computed from a matrix\n"
 
 
 def test_eval_matrix_with_negative_latent_count_is_an_error(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 import disentmetrics
 from disentmetrics import synth
 from disentmetrics.core import (
-    ImportanceMatrix,
     InformativenessMatrix,
     MetricReport,
     ParseError,
@@ -361,7 +360,6 @@ def test_matrix_roundtrip(tmp_path):
     back = load_matrix(str(path))
     assert np.array_equal(back.values, m.values)
     assert np.array_equal(back.factor_entropies, m.factor_entropies)
-    assert back.provenance == "external"
 
 
 def test_matrix_bad_files(tmp_path):
@@ -378,19 +376,14 @@ def test_matrix_bad_files(tmp_path):
 def test_informativeness_matrix_invariants():
     with pytest.raises(ValueError):
         InformativenessMatrix([[-0.1]], [1.0])
-    with pytest.raises(ValueError):
-        InformativenessMatrix([[1.5]], [1.0], provenance="mutual_information")
-    # external provenance is not entropy-bounded
-    InformativenessMatrix([[1.5]], [1.0], provenance="external")
-    for provenance in ("nonsense", "importance", "linear_r2"):
-        with pytest.raises(ValueError, match="unknown provenance"):
-            InformativenessMatrix([[0.1]], [1.0], provenance=provenance)
+    # entries are not bounded by the factor entropies (a loaded .matrix file
+    # is scored as given); informativeness_from_mi checks its own bound
+    InformativenessMatrix([[1.5]], [1.0])
 
 
-def test_importance_matrix_rejects_negative():
-    with pytest.raises(ValueError):
-        ImportanceMatrix([[-1.0, 0.0]])
-    ImportanceMatrix([[0.0, 0.0]])  # all-zero is constructible; scoring rejects it
+def test_loaded_matrix_is_not_entropy_bounded(tmp_path):
+    m = load_matrix(write(tmp_path / "m.matrix", "1,2\n1.0\n1.5\n0.25\n"))
+    assert m.values.tolist() == [[1.5], [0.25]]
 
 
 def test_oracle_seed_reproducibility():

@@ -116,7 +116,6 @@ def test_informativeness_identity_discrete():
     z = rng.integers(0, 8, size=4000).astype(float)
     ds = RepresentationDataset(z[:, None], z[:, None], cardinalities=[8])
     m = informativeness_from_mi(ds)
-    assert m.provenance == "mutual_information"
     assert m.values[0, 0] == pytest.approx(math.log(8), abs=0.01)
     assert m.factor_entropies[0] == pytest.approx(math.log(8), abs=0.01)
 
@@ -131,6 +130,19 @@ def test_informativeness_monotone_capture():
     ds = synth.gen_sap_nonlinear(n=10000, seed=9)
     m = informativeness_from_mi(ds)
     assert m.values[0, 0] / m.factor_entropies[0] > 0.9
+
+
+@pytest.mark.parametrize("excess, raises", [(1e-10, False), (1e-8, True)])
+def test_informativeness_rejects_mi_above_the_factor_entropy(monkeypatch, excess, raises):
+    """An estimator fault that puts I[i, j] above H(z_j) + 1e-9 is caught where the matrix is built."""
+    z = np.random.default_rng(3).uniform(size=(200, 2))
+    mi = estimators._mutual_information
+    monkeypatch.setattr(estimators, "_mutual_information", lambda a, b: mi(a, b) + excess)
+    if raises:
+        with pytest.raises(ValueError, match="exceeds factor entropy"):
+            informativeness_from_mi(RepresentationDataset(z, z))
+    else:
+        informativeness_from_mi(RepresentationDataset(z, z))
 
 
 def _ref_entropy(labels):
@@ -324,7 +336,7 @@ def test_majority_vote_empty():
 
 def _importances(dataset, method="forest", config=None):
     """Importance of each latent for the first factor."""
-    return importance_matrix_from_dataset(dataset, method, config)[0].values[:, 0]
+    return importance_matrix_from_dataset(dataset, method, config)[0][:, 0]
 
 
 def _single_informative_dataset(n=4000, seed=0):
@@ -510,8 +522,8 @@ def _bit_pin_case(i):
 def _assert_bits_match_reference(dataset, config):
     matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
     ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
-    assert matrix.values.shape == ref_matrix.shape
-    assert np.array_equal(matrix.values.view(np.uint64), ref_matrix.view(np.uint64))
+    assert matrix.shape == ref_matrix.shape
+    assert np.array_equal(matrix.view(np.uint64), ref_matrix.view(np.uint64))
     assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
 
 
@@ -556,7 +568,7 @@ def test_identical_latents_share_their_importance_exactly():
         config = ForestConfig(n_trees=10, max_depth=depth, seed=3)
         matrix, mass = importance_matrix_from_dataset(RepresentationDataset(z, np.column_stack(columns)),
                                                       "forest", config)
-        return matrix.values, mass
+        return matrix, mass
 
     for depth in (3, 5):
         matrix, _ = forest([a, a, b], depth)
@@ -609,7 +621,7 @@ def test_forest_bits_do_not_depend_on_the_worker_count(monkeypatch, workers, n_t
     config = ForestConfig(n_trees=n_trees, max_depth=4, seed=9)
     matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
     ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
-    assert np.array_equal(matrix.values.view(np.uint64), ref_matrix.view(np.uint64))
+    assert np.array_equal(matrix.view(np.uint64), ref_matrix.view(np.uint64))
     assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
 
 
@@ -625,7 +637,7 @@ def test_blocks_are_contiguous_and_run_in_forked_children(monkeypatch):
 def _forest_bits_in_pool_worker(n_trees):
     assert multiprocessing.current_process().daemon
     matrix, masses = _forest_values(_fan_out_case(), n_trees)
-    return matrix.values.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist()
+    return matrix.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist()
 
 
 def test_forest_runs_in_process_inside_a_daemonic_pool_worker(monkeypatch):
@@ -635,7 +647,7 @@ def test_forest_runs_in_process_inside_a_daemonic_pool_worker(monkeypatch):
         pool.close()
         pool.join()
     matrix, masses = _forest_values(_fan_out_case(), 7)
-    assert bits == (matrix.values.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist())
+    assert bits == (matrix.view(np.uint64).tolist(), np.asarray(masses).view(np.uint64).tolist())
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
@@ -661,12 +673,12 @@ def test_a_failing_block_raises_and_leaves_no_child(monkeypatch, where):
 def test_forest_calls_from_concurrent_threads_give_identical_bits(monkeypatch):
     dataset = _fan_out_case()
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
-    serial = _forest_values(dataset, 12)[0].values
+    serial = _forest_values(dataset, 12)[0]
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
     results = [None] * 4
 
     def run(i):
-        results[i] = _forest_values(dataset, 12)[0].values
+        results[i] = _forest_values(dataset, 12)[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

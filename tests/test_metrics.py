@@ -46,6 +46,8 @@ def test_dci_one_hot_rows_is_one():
 def test_dci_all_zero_not_computable():
     with pytest.raises(NotComputableError):
         dci_score(np.zeros((2, 2)))
+    with pytest.raises(NotComputableError, match="all zero"):
+        dci_score([[0.0, 0.0]])
 
 
 def test_dci_zero_row_contributes_nothing():
@@ -57,6 +59,12 @@ def test_dci_zero_row_contributes_nothing():
 def test_dci_single_factor():
     # base-1 entropy is undefined; rows with mass count as fully concentrated
     assert dci_score(np.array([[0.3], [0.7]])).score == 1.0
+
+
+@pytest.mark.parametrize("bad", [[[np.nan, 1.0]], [[np.inf, 1.0]], [[-1.0, 1.0]], [[-1.0, 0.0]], np.ones((2, 2, 2))])
+def test_dci_score_rejects_non_finite_negative_or_misshapen_importances(bad):
+    with pytest.raises(NotComputableError, match="finite, non-negative"):
+        dci_score(bad)
 
 
 def test_dci_from_dataset_disentangled():
@@ -139,7 +147,7 @@ def test_sap_needs_two_latents():
 def test_mig_one_hot_equals_one():
     entropies = np.array([1.5, 0.7])
     values = np.array([[1.5, 0.0], [0.0, 0.7], [0.0, 0.0]])
-    m = InformativenessMatrix(values, entropies, provenance="external")
+    m = InformativenessMatrix(values, entropies)
     assert mig_score(m).score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -150,21 +158,42 @@ def test_mig_parametric_closed_form():
 
 
 def test_mig_all_zero_matrix():
-    m = InformativenessMatrix(np.zeros((3, 2)), np.ones(2), provenance="external")
+    m = InformativenessMatrix(np.zeros((3, 2)), np.ones(2))
     assert mig_score(m).score == 0.0
 
 
 def test_mig_zero_entropy_factor():
-    m = InformativenessMatrix(np.zeros((2, 2)), np.array([1.0, 0.0]), provenance="external")
+    m = InformativenessMatrix(np.zeros((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(NotComputableError) as err:
         mig_score(m)
     assert "factor 1" in str(err.value)
 
 
 def test_mig_needs_two_latents():
-    m = InformativenessMatrix(np.ones((1, 2)), np.ones(2), provenance="external")
+    m = InformativenessMatrix(np.ones((1, 2)), np.ones(2))
     with pytest.raises(NotComputableError):
         mig_score(m)
+
+
+def test_mig_gap_ties_select_the_first_latent():
+    m = InformativenessMatrix(np.array([[0.5, 0.2], [0.5, 0.2], [0.1, 0.3]]), np.array([1.0, 0.5]))
+    report = mig_score(m)
+    assert report.intermediates["selected_latents"].tolist() == [0, 2]
+    assert report.intermediates["per_factor_gaps"].tolist() == [0.0, (0.3 - 0.2) / 0.5]
+
+
+def test_sap_is_the_mig_reduction_with_unit_normalizers():
+    sap = sap_score(synth.gen_sap_duplicate(n=500, seed=3))
+    mig = mig_score(InformativenessMatrix(sap.intermediates["informativeness"], np.ones(2)))
+    assert sap.score == mig.score
+    for key in ("per_factor_gaps", "selected_latents"):
+        assert np.array_equal(sap.intermediates[key], mig.intermediates[key])
+
+
+def test_sap_and_mig_skip_a_dataset_without_factors():
+    latents = np.random.default_rng(0).standard_normal((5, 3))
+    reports = evaluate_all(RepresentationDataset(np.empty((5, 0)), latents), metrics=["sap", "mig"])
+    assert [(r.skipped, r.skip_reason) for r in reports] == [(True, "needs at least 1 generative factor")] * 2
 
 
 # --- 3CharM ----------------------------------------------------------------------
@@ -173,7 +202,7 @@ def test_mig_needs_two_latents():
 def test_three_charm_one_hot_equals_one():
     entropies = np.array([2.0, 0.5])
     values = np.array([[2.0, 0.0], [0.0, 0.5]])
-    m = InformativenessMatrix(values, entropies, provenance="external")
+    m = InformativenessMatrix(values, entropies)
     assert three_charm_score(m).score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,7 +215,7 @@ def test_three_charm_parametric_closed_form():
 def test_three_charm_unclaimed_factor_scores_zero():
     # both latents claim factor 0; factor 1 has no claimant
     values = np.array([[1.0, 0.2], [0.9, 0.1]])
-    m = InformativenessMatrix(values, np.ones(2), provenance="external")
+    m = InformativenessMatrix(values, np.ones(2))
     report = three_charm_score(m)
     assert report.intermediates["per_factor_scores"][1] == 0.0
     assert report.intermediates["best_latent_per_factor"][1] == -1
@@ -194,13 +223,13 @@ def test_three_charm_unclaimed_factor_scores_zero():
 
 
 def test_three_charm_single_factor():
-    m = InformativenessMatrix(np.array([[0.4], [0.9]]), np.array([1.0]), provenance="external")
+    m = InformativenessMatrix(np.array([[0.4], [0.9]]), np.array([1.0]))
     # K = 1: nothing to subtract, best claimant carries its full entry
     assert three_charm_score(m).score == pytest.approx(0.9, abs=1e-12)
 
 
 def test_three_charm_zero_total_entropy():
-    m = InformativenessMatrix(np.zeros((2, 2)), np.zeros(2), provenance="external")
+    m = InformativenessMatrix(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(NotComputableError):
         three_charm_score(m)
 
@@ -377,9 +406,9 @@ def test_chunks_cover_every_batch_once():
 def test_matrix_metrics_permutation_invariant_exact():
     rng = np.random.default_rng(12)
     values = rng.uniform(0, 1, size=(5, 3))
-    m = InformativenessMatrix(values, np.ones(3) * 2.0, provenance="external")
+    m = InformativenessMatrix(values, np.ones(3) * 2.0)
     perm = rng.permutation(5)
-    mp = InformativenessMatrix(values[perm], m.factor_entropies, provenance="external")
+    mp = InformativenessMatrix(values[perm], m.factor_entropies)
     assert mig_score(m).score == mig_score(mp).score
     assert three_charm_score(m).score == three_charm_score(mp).score
     assert dci_score(values).score == dci_score(values[perm]).score

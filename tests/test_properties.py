@@ -111,8 +111,8 @@ def test_matrix_metrics_range_and_permutation_invariance(values, rnd):
     n = values.shape[0]
     perm = list(range(n))
     rnd.shuffle(perm)
-    matrix = InformativenessMatrix(values, np.ones(values.shape[1]), provenance="external")
-    permuted = InformativenessMatrix(values[perm], matrix.factor_entropies, provenance="external")
+    matrix = InformativenessMatrix(values, np.ones(values.shape[1]))
+    permuted = InformativenessMatrix(values[perm], matrix.factor_entropies)
 
     if values.shape[0] >= 2:
         m1, m2 = mig_score(matrix), mig_score(permuted)
@@ -248,22 +248,24 @@ def test_forest_dci_unchanged_under_increasing_latent_maps(dataset, data):
 
 @st.composite
 def degenerate_datasets(draw):
-    """Tiny, constant, duplicate-heavy and discrete-only datasets: every
-    continuous column draws from a pool of at most three values."""
+    """Tiny, constant, duplicate-heavy and discrete-only datasets, also with
+    no factor or no latent columns: every continuous column draws from a
+    pool of at most three values."""
     n = draw(st.integers(1, 4) | st.integers(5, 40))
     pool = draw(st.lists(st.integers(-2000, 2000).map(lambda i: i / 4), min_size=1, max_size=3))
     values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
     discrete_only = draw(st.booleans())
     factors, cards = [], []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         if discrete_only or draw(st.booleans()):
             cards.append(draw(st.integers(1, 30)))
             factors.append(draw(st.lists(st.integers(0, cards[-1] - 1), min_size=n, max_size=n)))
         else:
             cards.append(None)
             factors.append(draw(values))
-    latents = [draw(values) for _ in range(draw(st.integers(1, 3)))]
-    return RepresentationDataset(np.column_stack(factors), np.column_stack(latents), cardinalities=cards)
+    latents = [draw(values) for _ in range(draw(st.integers(0, 3)))]
+    columns = [np.array(group, dtype=np.float64).reshape(-1, n).T for group in (factors, latents)]
+    return RepresentationDataset(*columns, cardinalities=cards)
 
 
 @given(degenerate_datasets())

@@ -94,7 +94,7 @@ def test_sap_duplicate_carries_information():
 
 def test_dci_matrix_row_sums():
     m = synth.gen_dci_matrix("eleven_factor")
-    assert np.allclose(m.values.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         synth.gen_dci_matrix("three_factor")
 
