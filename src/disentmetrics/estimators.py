@@ -5,13 +5,14 @@ feature importances (bagged regression forest or lasso).
 
 Everything here is pure given (data, config, seed): repeated calls are
 bit-reproducible and safe to run concurrently. The forest grows its trees
-on every usable CPU: contiguous blocks of trees run in forked child
-processes, and the caller replays their importance adds in tree order, so
-the result does not depend on the number of CPUs.
+on every usable CPU through :func:`core._in_blocks`: contiguous blocks of
+trees run in forked child processes, and the caller replays their
+importance adds in tree order, so the result does not depend on the number
+of CPUs. A forest with too little work for a fork grows in one process.
 """
 
+import contextlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     DegenerateLabelsError,
     InformativenessMatrix,
     NotComputableError,
+    _in_blocks,
 )
 
 BIN_STRATEGIES = ("quantile", "equal_width")
@@ -387,8 +389,8 @@ def _forest_importances(latents, targets, config):
     """Raw summed impurity decrease per latent (one row per target), and
     the fraction of each target's bagged sum of squares it removed. Every
     target shares the bag and presort of a tree, drawn from (seed, tree).
-    The trees are grown in blocks (see :func:`_in_blocks`); their adds are
-    replayed here in tree order, so every sum is the serial one."""
+    The trees are grown in blocks (see :func:`core._in_blocks`); their adds
+    are replayed here in tree order, so every sum is the serial one."""
     n, n_latents = latents.shape
     bag = max(1, int(round(config.bag_fraction * n)))
     qs = [_quantized(target, bag) for target in targets]
@@ -408,90 +410,20 @@ def _forest_importances(latents, targets, config):
                 r = (qb * bag - qb.sum()).astype(np.float64)  # bag times the centred target, exact
                 sse_terms.append(float((r * r).sum()) / (bag * bag))
                 _grow_tree(qb, order, xs[tied], tied, config.max_depth, credited, shares)
-        return grown
+        yield grown
 
     importance = [[0.0] * n_latents for _ in qs]
     root_sse = [0.0] * len(qs)
-    for block in _in_blocks(grow, config.n_trees):
-        for j, (sse_terms, credited, shares) in enumerate(block):
-            for sse in sse_terms:
-                root_sse[j] += sse
-            row = importance[j]
-            for f, share in zip(credited, shares):
-                row[f] += share
+    with contextlib.closing(_in_blocks(grow, config.n_trees, config.n_trees * len(qs) * bag)) as blocks:
+        for block in blocks:
+            for j, (sse_terms, credited, shares) in enumerate(block):
+                for sse in sse_terms:
+                    root_sse[j] += sse
+                row = importance[j]
+                for f, share in zip(credited, shares):
+                    row[f] += share
     masses = [math.fsum(imp) / sse if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
     return np.array(importance), masses
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_blocks(block, count):
-    """``block(items)`` for each of ``w = min(usable CPUs, count)``
-    contiguous blocks of ``range(count)``, in block order. The caller runs
-    the first block; each other block runs in a forked child process that
-    sends its result back through a pipe. Every block runs in the caller
-    when ``w`` is 1, when the fork start method is missing, or when the
-    caller is a daemonic process (which may not have children)."""
-    w = min(_usable_cpus(), count)
-    blocks = [range(count * i // w, count * (i + 1) // w) for i in range(w)]
-    if w > 1:
-        import multiprocessing  # here, not at the top: most callers never fork
-
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            return _forked(block, blocks, multiprocessing.get_context("fork"))
-    return [block(items) for items in blocks]
-
-
-def _forked(block, blocks, context):
-    """:func:`_in_blocks` with ``blocks[1:]`` in one forked child each. On
-    any error or interrupt the children are terminated and joined before
-    it propagates; no partial result is returned."""
-    children, pipes = [], []
-    try:
-        for items in blocks[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            pipes.append(receiver)
-            child = context.Process(target=_send_block, args=(sender, block, items), daemon=True)
-            child.start()
-            children.append(child)
-            sender.close()
-        results = [block(blocks[0])]
-        for receiver in pipes:
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                raise ChildProcessError("a forest worker process exited without a result") from None
-            if not ok:
-                raise value
-            results.append(value)
-        for child in children:
-            child.join()
-        return results
-    except BaseException:
-        for child in children:
-            child.terminate()
-        for child in children:
-            child.join()
-        raise
-    finally:
-        for receiver in pipes:
-            receiver.close()
-
-
-def _send_block(sender, block, items):
-    """Body of a forked child: send ``(True, block(items))``, or ``(False, error)``."""
-    try:
-        message = (True, block(items))
-    except Exception as exc:
-        message = (False, exc)
-    sender.send(message)
-    sender.close()
 
 
 def _lasso_importances(latents, target, config):

@@ -1,12 +1,17 @@
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import disentmetrics
-from disentmetrics import synth
+from disentmetrics import core, synth
 from disentmetrics.core import (
     InformativenessMatrix,
     MetricReport,
@@ -142,6 +147,25 @@ def test_load_accepts_quotes_crlf_and_spaces(tmp_path):
     assert np.signbit(ds.latents[0, 1])
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_load_reads_a_stream_that_cannot_be_reopened(tmp_path):
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(b"z:c,c\n0,1\n1,2\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        ds = load_dataset(str(fifo))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert ds.factors.tolist() == [[0.0], [1.0]] and ds.latents.tolist() == [[1.0], [2.0]]
+
+
 def test_load_header_only_is_an_empty_column_without_warnings(tmp_path):
     p = write(tmp_path / "d.csv", "z:c,c\n")
     with warnings.catch_warnings():
@@ -245,6 +269,183 @@ def test_csv_save_and_load_peaks_stay_bounded(tmp_path):
     assert _traced_peak_mib(lambda: save_dataset(ds, path)) <= 6.0
     assert os.path.getsize(path) > 7_000_000
     assert _traced_peak_mib(lambda: load_dataset(path)) <= 7.0
+
+
+def test_csv_save_and_load_peaks_stay_bounded_in_one_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    test_csv_save_and_load_peaks_stay_bounded(tmp_path)
+
+
+# --- CSV save and load on every usable CPU --------------------------------------
+# The worker count is forced through core._usable_cpus, with the work gate
+# core._BLOCK_MIN_WORK at 1 so that small files fan out too; every worker
+# count must give the serial bytes, bits and errors.
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(core, "_BLOCK_MIN_WORK", 1)
+
+
+def _count_forks(monkeypatch):
+    forks, forked = [], core._forked
+    monkeypatch.setattr(core, "_forked", lambda *args: forks.append(len(args[1])) or forked(*args))
+    return forks
+
+
+def _rows(ds, n):
+    return RepresentationDataset(ds.factors[:n], ds.latents[:n], ds.factor_names, ds.latent_names, ds.cardinalities)
+
+
+def _bits(ds):
+    return ds.factors.view(np.uint64).tolist(), ds.latents.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2047, 2048, 2049, 5000, 20000])
+def test_csv_save_and_load_are_bit_identical_on_any_worker_count(tmp_path, monkeypatch, workers, n):
+    ds = _rows(_edge_value_dataset(20000), n)
+    _join_writer(ds, str(tmp_path / "old.csv"))
+    _force_workers(monkeypatch, workers)
+    save_dataset(ds, str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert not (tmp_path / "new.csv.tmp").exists()
+    if n == 0:
+        with pytest.raises(ValidationError, match="empty column"):
+            load_dataset(str(tmp_path / "old.csv"))
+    else:
+        assert _bits(load_dataset(str(tmp_path / "old.csv"))) == _bits(ds)
+
+
+@pytest.mark.parametrize("below, forks", [(1, []), (0, [2])])
+def test_csv_save_fans_out_only_above_the_work_gate(tmp_path, monkeypatch, below, forks):
+    n = 2 * core._BLOCK_MIN_WORK // 5 - below  # 5 columns: a value is a microsecond of work
+    ds = _rows(_edge_value_dataset(n), n)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    seen = _count_forks(monkeypatch)
+    save_dataset(ds, str(tmp_path / "new.csv"))
+    _join_writer(ds, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert seen == forks
+
+
+@pytest.mark.parametrize("n, forks", [(2000, []), (20000, [2])])
+def test_csv_load_fans_out_only_above_the_work_gate(tmp_path, monkeypatch, n, forks):
+    ds = _rows(_edge_value_dataset(20000), n)
+    save_dataset(ds, str(tmp_path / "d.csv"))
+    # 32 data bytes are a microsecond of work: two blocks need twice the gate
+    assert (os.path.getsize(tmp_path / "d.csv") // 32 >= 2 * core._BLOCK_MIN_WORK) == bool(forks)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    seen = _count_forks(monkeypatch)
+    assert _bits(load_dataset(str(tmp_path / "d.csv"))) == _bits(ds)
+    assert seen == forks
+
+
+def test_a_failed_fanned_out_save_keeps_the_old_file_and_stops_its_children(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+    _force_workers(monkeypatch, 3)
+    atomic_write = core._atomic_write
+
+    def failing_write(target, chunks):
+        def some():
+            for i, chunk in enumerate(chunks):
+                if i == 3:  # children are still formatting their blocks
+                    raise OSError("disk full")
+                yield chunk
+        atomic_write(target, some())
+
+    monkeypatch.setattr(core, "_atomic_write", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(_edge_value_dataset(20000), str(path))
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert not (tmp_path / "out.csv.tmp").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_in_blocks_forks_only_above_the_work_gate(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    gate = core._BLOCK_MIN_WORK
+    below = list(core._in_blocks(lambda items: [(os.getpid(), list(items))], 4, 2 * gate - 1))
+    assert below == [(os.getpid(), [0, 1, 2, 3])]
+    above = list(core._in_blocks(lambda items: [(os.getpid(), list(items))], 4, 2 * gate))
+    assert [items for _, items in above] == [[0, 1], [2, 3]] and above[1][0] != os.getpid()
+
+
+def _load_outcome(path):
+    try:
+        return "loaded", _bits(load_dataset(path))
+    except (ParseError, ValidationError) as err:
+        return type(err).__name__, str(err), getattr(err, "row", None), getattr(err, "column", None)
+
+
+# Each CSV contract case after 3000 good rows, so that at 2 and 3 workers its
+# fault sits in a child's range (quoted and CR files are parsed in one block),
+# with a part of the serial outcome that the case must show.
+_CONTRACT_CASES = {
+    "bad cell": (b"oops,3\n0,1\n", "non-numeric cell 'oops' at row 3001, column z"),
+    "empty cell": (b"1,\n0,1\n", "non-numeric cell '' at row 3001, column c"),
+    "short row": (b"1\n0,1\n", "row 3001 has 1 cells"),
+    "long row": (b"1,2,3\n0,1\n", "row 3001 has 3 cells"),
+    "blank line": (b"\n1,2\n", "row 3001 has 0 cells"),
+    "blank last line": (b"1,2\n\n", "row 3002 has 0 cells"),
+    "whitespace line": (b" \n1,2\n", "row 3001 has 1 cells"),
+    "quoted cell spanning lines": (b'"1\n",2\n0,1\n', "loaded"),
+    "quoted cell holding a blank line": (b'"1\n\n",2\n0,1\n', "do not parse as one numeric table"),
+    "quoted comma": (b'"1,5",2\n0,1\n', "non-numeric cell '1,5' at row 3001, column z"),
+    "crlf": (b"1,2\r\n3,4\r\n", "loaded"),
+    "crlf bad cell": (b"1,2\r\noops,4\r\n", "non-numeric cell 'oops' at row 3002"),
+    "cr bad cell": (b"1,2\roops,4\r", "non-numeric cell 'oops' at row 3002"),
+    "non-utf8 row": (b"\xff,2\n0,1\n", "row 3001 is not UTF-8 text"),
+    "digit underscores": (b"1_0,2\n0,1\n", "non-numeric cell '1_0' at row 3001"),
+    "non-ascii digit": ("\u0661,2\n0,1\n".encode(), "at row 3001, column z"),
+    "nan": (b"nan,2\n0,1\n", "row 3001"),
+    "no final line feed": (b"1,2\n3,4", "loaded"),
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", list(_CONTRACT_CASES))
+def test_csv_contract_holds_on_any_worker_count(tmp_path, monkeypatch, case, workers):
+    body, shown = _CONTRACT_CASES[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"z:c,c\n" + b"0,1\n" * 3000 + body)
+    _force_workers(monkeypatch, 1)
+    serial = _load_outcome(str(path))
+    assert shown in str(serial[:2])
+    _force_workers(monkeypatch, workers)
+    seen = _count_forks(monkeypatch)
+    assert _load_outcome(str(path)) == serial
+    assert seen == ([] if b'"' in body or b"\r" in body else [workers])
+
+
+_LEAK_CHECK = """
+import numpy as np
+from disentmetrics import core, estimators, synth
+core._usable_cpus = lambda: 3
+core._BLOCK_MIN_WORK = 1
+ds = synth.gen_entangled_family(0.5, n_factors=3, n=3000, seed=1)
+estimators.importance_matrix_from_dataset(ds, "forest", estimators.ForestConfig(n_trees=6))
+core.save_dataset(ds, PATH)
+assert np.array_equal(core.load_dataset(PATH).latents, ds.latents)
+with open(PATH, "a") as fh:
+    fh.write("0,0,0,oops,0,0\\n")
+try:
+    core.load_dataset(PATH)
+except core.ParseError as err:
+    assert err.row == 3001, err
+else:
+    raise AssertionError("the bad cell was not refused")
+"""
+
+
+def test_fan_out_leaks_no_resource_under_dev_mode(tmp_path):
+    code = _LEAK_CHECK.replace("PATH", repr(str(tmp_path / "d.csv")))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "ResourceWarning" not in out.stderr and "unclosed" not in out.stderr, out.stderr
 
 
 def test_atomic_write_failure_keeps_the_old_file(tmp_path):
@@ -371,6 +572,18 @@ def test_matrix_bad_files(tmp_path):
         load_matrix(write(tmp_path / "c.matrix", "2,1\n1.0,1.0\n0.1,0.2,0.3\n"))
     with pytest.raises(ParseError, match="K and N must be >= 1"):
         load_matrix(write(tmp_path / "d.matrix", "2,-1\n"))
+
+
+def test_matrix_non_finite_entry_names_its_line(tmp_path):
+    with pytest.raises(ParseError, match="^matrix line 3 has a non-finite entry$"):
+        load_matrix(write(tmp_path / "a.matrix", "2,2\n1.0,0.5\n-0.5,nan\n0.1,0.2\n"))
+    with pytest.raises(ParseError, match="^matrix line 2 has a non-finite entry$"):
+        load_matrix(write(tmp_path / "b.matrix", "1,1\ninf\n0.5\n"))
+
+
+def test_matrix_negative_entry_names_its_line(tmp_path):
+    with pytest.raises(ParseError, match="^matrix line 5 has a negative entry$"):
+        load_matrix(write(tmp_path / "a.matrix", "2,2\n1.0,0.5\n0.5,0.25\n\n0.1,-0.2\n"))
 
 
 def test_informativeness_matrix_invariants():

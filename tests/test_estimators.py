@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disentmetrics import estimators, synth
+from disentmetrics import core, estimators, synth
 from disentmetrics.core import DegenerateLabelsError, RepresentationDataset
 from disentmetrics.estimators import (
     BinningSpec,
@@ -597,8 +597,14 @@ def test_quantized_targets_keep_node_sums_inside_int64():
 
 
 # --- the forest's trees on every usable CPU ------------------------------------
-# The worker count is forced through estimators._usable_cpus; every worker
-# count must give the reference's bits.
+# The worker count is forced through core._usable_cpus, with the work gate
+# core._BLOCK_MIN_WORK at 1 so that these small forests fan out too; every
+# worker count must give the reference's bits.
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(core, "_BLOCK_MIN_WORK", 1)
 
 
 def _fan_out_case():
@@ -616,7 +622,7 @@ def _forest_values(dataset, n_trees):
 @pytest.mark.parametrize("n_trees", [1, 7, 50])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forest_bits_do_not_depend_on_the_worker_count(monkeypatch, workers, n_trees):
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: workers)
+    _force_workers(monkeypatch, workers)
     dataset = _fan_out_case()
     config = ForestConfig(n_trees=n_trees, max_depth=4, seed=9)
     matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
@@ -626,12 +632,12 @@ def test_forest_bits_do_not_depend_on_the_worker_count(monkeypatch, workers, n_t
 
 
 def test_blocks_are_contiguous_and_run_in_forked_children(monkeypatch):
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
-    blocks = estimators._in_blocks(lambda items: (os.getpid(), list(items)), 7)
+    _force_workers(monkeypatch, 3)
+    blocks = list(core._in_blocks(lambda items: [(os.getpid(), list(items))], 7, 7))
     assert [items for _, items in blocks] == [[0, 1], [2, 3], [4, 5, 6]]
     pids = [pid for pid, _ in blocks]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
-    assert estimators._in_blocks(lambda items: list(items), 2) == [[0], [1]]
+    assert list(core._in_blocks(lambda items: [list(items)], 2, 2)) == [[0], [1]]
 
 
 def _forest_bits_in_pool_worker(n_trees):
@@ -641,7 +647,7 @@ def _forest_bits_in_pool_worker(n_trees):
 
 
 def test_forest_runs_in_process_inside_a_daemonic_pool_worker(monkeypatch):
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)  # inherited by the forked pool worker
+    _force_workers(monkeypatch, 2)  # inherited by the forked pool worker
     with multiprocessing.get_context("fork").Pool(1) as pool:
         bits = pool.apply_async(_forest_bits_in_pool_worker, (7,)).get(timeout=60)
         pool.close()
@@ -661,7 +667,7 @@ def test_a_failing_block_raises_and_leaves_no_child(monkeypatch, where):
             time.sleep(60)  # children still growing when the parent fails are terminated, not awaited
         grow(*args)
 
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    _force_workers(monkeypatch, 3)
     monkeypatch.setattr(estimators, "_grow_tree", failing_grow)
     start = time.monotonic()
     with pytest.raises(ValueError, match=f"tree failed in the {where}"):
@@ -672,9 +678,9 @@ def test_a_failing_block_raises_and_leaves_no_child(monkeypatch, where):
 
 def test_forest_calls_from_concurrent_threads_give_identical_bits(monkeypatch):
     dataset = _fan_out_case()
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+    _force_workers(monkeypatch, 1)
     serial = _forest_values(dataset, 12)[0]
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    _force_workers(monkeypatch, 3)
     results = [None] * 4
 
     def run(i):
