@@ -159,6 +159,11 @@ class ValidationIssue:
         return self.message + where
 
 
+def _non_finite(names, finite):
+    """One issue per False entry of the (rows, columns) mask, column by column."""
+    return [ValidationIssue(names[j], int(r) + 1, "non-finite value") for j, r in zip(*np.nonzero(~finite.T))]
+
+
 def validate(dataset):
     """Check every dataset invariant; returns a list of issues (empty = pass)."""
     issues = []
@@ -175,9 +180,8 @@ def validate(dataset):
     if dataset.latents.shape[0] != n:
         issues.extend(ValidationIssue(name, None, "length mismatch") for name in dataset.latent_names)
     finite = np.isfinite(dataset.factors)
-    for group, ok in ((dataset.factor_names, finite), (dataset.latent_names, np.isfinite(dataset.latents))):
-        for j, r in zip(*np.nonzero(~ok.T)):
-            issues.append(ValidationIssue(group[j], int(r) + 1, "non-finite value"))
+    issues += _non_finite(dataset.factor_names, finite)
+    issues += _non_finite(dataset.latent_names, np.isfinite(dataset.latents))
     for j, card in enumerate(dataset.cardinalities):
         if card is None:
             continue
@@ -628,8 +632,7 @@ class RepresentationOracle:
         z = self._factor_sampler(self._rng, int(n))
         if fixed_factor is not None:
             z[:, fixed_factor] = fixed_value
-        c = self._encoder(self._rng, z)
-        return z, c
+        return z, self._encode(z)
 
     def sample_batches(self, fixed_factors, batch_size, paired=False):
         """Latents of one intervention batch per entry of ``fixed_factors``,
@@ -659,8 +662,15 @@ class RepresentationOracle:
             z = z.reshape(fixed.size, batch_size + 1, k)
             z[t, 1:, fixed] = z[t, 0, fixed][:, None]
             z = z[:, 1:]
-        c = self._encoder(self._rng, z.reshape(-1, k))
-        return c.reshape(*z.shape[:-1], self.n_latents)
+        return self._encode(z.reshape(-1, k)).reshape(*z.shape[:-1], self.n_latents)
+
+    def _encode(self, z):
+        """The encoder's latents for factor rows z; a non-finite one raises :class:`ValidationError`."""
+        c = self._encoder(self._rng, z)
+        finite = np.isfinite(c)
+        if not finite.all():
+            raise ValidationError(_non_finite([f"c{i + 1}" for i in range(c.shape[1])], finite))
+        return c
 
     def sample_dataset(self, n):
         """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""

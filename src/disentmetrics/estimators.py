@@ -12,6 +12,7 @@ of CPUs. A forest with too little work for a fork grows in one process.
 """
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,14 +249,12 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     w = np.zeros((n_classes, d + 1))
     for _ in range(config.epochs):
         scores = xb @ w.T
-        # row max as a fold over the few class columns: an axis-1 reduce of
-        # C-wide rows runs one short inner loop per row
-        top = scores[:, 0]
-        for j in range(1, n_classes):
-            top = np.maximum(top, scores[:, j])
-        scores -= top[:, None]
+        # row max and row sum as folds over the class columns, since an axis-1
+        # reduce of C-wide rows runs one short inner loop per row; numpy adds
+        # fewer than 8 values in order, as the fold does, and 8 or more pairwise
+        scores -= functools.reduce(np.maximum, scores.T)[:, None]
         probs = np.exp(scores)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= (functools.reduce(np.add, probs.T) if n_classes < 8 else probs.sum(axis=1))[:, None]
         grad = (probs - onehot).T @ xb / n
         w = w - config.learning_rate * grad
     return LinearClassifier(w)

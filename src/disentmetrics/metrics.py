@@ -450,7 +450,8 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     carry no seed and no config. A dataset with a bad column (unequal
     length, a non-finite value, an out-of-range discrete value) raises
     :class:`ValidationError` with the issues :func:`core.validate` found,
-    and so does the dataset sampled from an oracle.
+    and so does the dataset sampled from an oracle; an oracle's sampling
+    raises it for a non-finite latent before any metric sees one.
     """
     if metrics is not None and len(metrics) == 0:
         raise ValueError("no metrics selected")

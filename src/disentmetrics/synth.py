@@ -39,7 +39,8 @@ FACTORVAE_MIX = np.array([
 
 
 def _uniform01(rng, n):
-    return rng.uniform(0.0, 1.0, size=(n, 3))
+    # the bits and generator state of rng.uniform(0.0, 1.0, ...), at half the cost
+    return rng.random((n, 3))
 
 
 def _standard_normal3(rng, n):
@@ -56,10 +57,13 @@ def gen_betavae_counterexample(seed=DEFAULT_SEED):
     """
 
     def encode(rng, z):
-        # what rng.choice(3, size=n, p=BETAVAE_MIX[k]) computes for k = 0, 1, 2
+        # what rng.choice(3, size=n, p=BETAVAE_MIX[k]) computes for k = 0, 1, 2:
+        # _BETAVAE_CDF[k].searchsorted(u[k], side="right"), as comparisons
         u = rng.random((3, z.shape[0]))
-        choice = np.stack([_BETAVAE_CDF[k].searchsorted(u[k], side="right") for k in range(3)], axis=1)
-        return np.take_along_axis(z, choice, axis=1)
+        flat = np.arange(0, z.size, 3) + (u >= _BETAVAE_CDF[:, 0:1])
+        flat += u >= _BETAVAE_CDF[:, 1:2]
+        flat += u >= _BETAVAE_CDF[:, 2:3]
+        return z.ravel().take(flat.T)
 
     return RepresentationOracle(3, 3, _uniform01, encode, seed=seed)
 
@@ -79,7 +83,7 @@ def gen_identity_oracle(n_factors=3, seed=DEFAULT_SEED):
     """Perfectly disentangled oracle: c = z over U[0,1] factors."""
 
     def sample_factors(rng, m):
-        return rng.uniform(0.0, 1.0, size=(m, n_factors))
+        return rng.random((m, n_factors))
 
     def encode(rng, z):
         return z.copy()
@@ -92,7 +96,7 @@ def gen_noise_oracle(n_factors=3, n_latents=3, seed=DEFAULT_SEED):
     U[0,1] factors."""
 
     def sample_factors(rng, m):
-        return rng.uniform(0.0, 1.0, size=(m, n_factors))
+        return rng.random((m, n_factors))
 
     def encode(rng, z):
         return rng.standard_normal(size=(z.shape[0], n_latents))

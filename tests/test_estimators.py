@@ -304,6 +304,33 @@ def test_classifier_weights_match_row_max_reference(n_classes):
     assert np.array_equal(got.view(np.uint64), _ref_classifier_weights(x, y).view(np.uint64))
 
 
+def test_classifier_weights_match_reference_at_betavae_shape_with_underflow():
+    # BetaVAE's fit: n=10000 points, D=3 features, C=3 classes; the far rows
+    # leave exp(score - row max) 0 in every column but the top one
+    rng = np.random.default_rng(14)
+    y = rng.permutation(np.arange(10000) % 3)
+    x = rng.standard_normal((10000, 3)) + 0.5 * np.eye(3)[y]
+    x[:40] *= 1e6
+    got = fit_linear_classifier(x, y).weights
+    assert np.array_equal(got.view(np.uint64), _ref_classifier_weights(x, y).view(np.uint64))
+    scores = np.hstack([x[:40], np.ones((40, 1))]) @ got.T
+    gaps = np.sort(scores, axis=1)[:, -1:] - np.sort(scores, axis=1)[:, :-1]
+    assert (np.exp(-gaps) == 0.0).all()
+
+
+@pytest.mark.parametrize("n_classes,present", [(4, (0, 3)), (6, (0, 2, 5)), (9, (0, 8))])
+def test_classifier_weights_match_reference_with_tied_scores(n_classes, present):
+    # classes with no point get identical weights, so their scores tie exactly
+    # in every row and epoch; 9 classes take the pairwise row sum
+    rng = np.random.default_rng(n_classes)
+    y = np.array(present)[rng.permutation(np.arange(600) % len(present))]
+    x = rng.standard_normal((600, 3)) + 0.5 * np.eye(n_classes, 3)[y]
+    got = fit_linear_classifier(x, y).weights
+    assert np.array_equal(got.view(np.uint64), _ref_classifier_weights(x, y).view(np.uint64))
+    absent = [c for c in range(n_classes) if c not in present]
+    assert all(np.array_equal(got[c], got[absent[0]]) for c in absent)
+
+
 # --- majority vote ---------------------------------------------------------
 
 

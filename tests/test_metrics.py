@@ -530,6 +530,35 @@ def test_evaluate_all_rejects_non_finite_oracle_latent():
     assert [(i.column, i.row, i.message) for i in info.value.issues] == [("c1", 1, "non-finite value")]
 
 
+def _bad_latent_oracle(bad):
+    def encode(rng, z):
+        c = z.copy()
+        c[2, 1] = bad
+        return c
+
+    return RepresentationOracle(3, 3, lambda rng, n: rng.random((n, 3)), encode, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name,scorer", [("betavae", beta_vae_score), ("factorvae", factor_vae_score)])
+def test_oracle_metrics_reject_non_finite_latents(name, scorer, bad):
+    config = InterventionConfig(train_points=50, eval_points=10, batch_size=8, seed=1)
+    for run in (lambda: scorer(_bad_latent_oracle(bad), config),
+                lambda: evaluate_all(_bad_latent_oracle(bad), metrics=[name], config=config)):
+        with pytest.raises(ValidationError) as info:
+            run()
+        assert [(i.column, i.row, i.message) for i in info.value.issues] == [("c2", 3, "non-finite value")]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracle_sampling_rejects_non_finite_latents(bad):
+    oracle = _bad_latent_oracle(bad)
+    for draw in (lambda: oracle.sample(5), lambda: oracle.sample_batches([0, 2], 4, paired=True),
+                 lambda: oracle.sample_batches([1], 4)):
+        with pytest.raises(ValidationError, match=r"^non-finite value \[column c2, row 3\]$"):
+            draw()
+
+
 def test_evaluate_all_missing_column_group_still_skips():
     ds = synth.gen_sap_nonlinear(n=50, seed=2)
     reports = evaluate_all(RepresentationDataset(ds.factors, np.empty((ds.n, 0))), metrics=["dci", "sap", "mig"])

@@ -3,13 +3,17 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from disentmetrics import estimators, synth
 from disentmetrics.analysis import spearman
 from disentmetrics.core import (
     InformativenessMatrix,
     MetricsError,
+    NotComputableError,
     RepresentationDataset,
+    RepresentationOracle,
 )
 from disentmetrics.estimators import (
     BinningSpec,
@@ -20,8 +24,11 @@ from disentmetrics.estimators import (
 )
 from disentmetrics.metrics import (
     DATASET_METRICS,
+    InterventionConfig,
+    beta_vae_score,
     dci_score,
     evaluate_all,
+    factor_vae_score,
     mig_score,
     sap_score,
     three_charm_score,
@@ -199,6 +206,57 @@ def test_power_of_two_column_scaling_leaves_dataset_metrics_bit_identical(datase
     before = [(r.skipped, r.score) for r in evaluate_all(dataset, metrics=names)]
     after = [(r.skipped, r.score) for r in evaluate_all(replace(dataset, **{group: matrix}), metrics=names)]
     assert after == before
+
+
+def _scaled_oracle(oracle, k):
+    """The oracle with every latent multiplied by 2^k."""
+    encode = oracle._encoder
+    return RepresentationOracle(oracle.n_factors, oracle.n_latents, oracle._factor_sampler,
+                                lambda rng, z: np.ldexp(encode(rng, z), k), seed=oracle.seed)
+
+
+ORACLE_2K_CONFIG = InterventionConfig(train_points=600, eval_points=200, batch_size=32, seed=3)
+SCALED_INTERMEDIATE = {"betavae": "feature_means", "factorvae": "reference_std"}
+
+
+def _assert_scaled_report(before, after, k):
+    """Same score and scale-free intermediates; the one scaled intermediate is exactly 2^k times its base."""
+    assert after.score == before.score
+    for key, value in before.intermediates.items():
+        got = after.intermediates[key]
+        if key == SCALED_INTERMEDIATE[before.metric]:
+            assert np.array_equal(got.view(np.uint64), np.ldexp(value, k).view(np.uint64))
+        else:
+            assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value, key
+
+
+# the factorvae counterexample's encoder is deterministic, the betavae one draws
+@pytest.mark.parametrize("make_oracle", [synth.gen_factorvae_counterexample, synth.gen_betavae_counterexample])
+@pytest.mark.parametrize("k", [-8, 8, 20])
+def test_power_of_two_latent_scaling_leaves_oracle_metrics_bit_identical(monkeypatch, make_oracle, k):
+    fits, fit = [], estimators.fit_linear_classifier
+
+    def recording_fit(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(estimators, "fit_linear_classifier", recording_fit)
+    oracle = make_oracle(seed=4)
+    for scorer in (beta_vae_score, factor_vae_score):
+        _assert_scaled_report(scorer(oracle, ORACLE_2K_CONFIG), scorer(_scaled_oracle(oracle, k), ORACLE_2K_CONFIG), k)
+    # BetaVAE's classifier sees the same standardized features, so it learns the same weights
+    assert np.array_equal(fits[0].weights.view(np.uint64), fits[1].weights.view(np.uint64))
+
+
+def test_factorvae_std_floor_is_absolute_under_power_of_two_scaling():
+    """The 1e-8 reference-std floor does not scale: at 2^-30 every latent of
+    the factorvae counterexample (std about 0.8) falls below it and FactorVAE
+    skips, while BetaVAE, which standardizes its features, keeps every bit."""
+    oracle = synth.gen_factorvae_counterexample(seed=4)
+    scaled = _scaled_oracle(oracle, -30)
+    with pytest.raises(NotComputableError, match="degenerate"):
+        factor_vae_score(scaled, ORACLE_2K_CONFIG)
+    _assert_scaled_report(beta_vae_score(oracle, ORACLE_2K_CONFIG), beta_vae_score(scaled, ORACLE_2K_CONFIG), -30)
 
 
 @given(paired_datasets(), st.data())

@@ -65,6 +65,27 @@ def test_betavae_counterexample_encoder_matches_rng_choice(n):
         assert oracle._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
+class _FixedDraws:
+    """An rng stand-in whose random(shape) fills each row with the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws)
+
+    def random(self, shape):
+        return np.broadcast_to(self.draws, shape).copy()
+
+
+def test_betavae_counterexample_encoder_at_cdf_boundaries():
+    draws = [0.0, 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), np.nextafter(1, 0)]
+    z = np.tile([0.0, 1.0, 2.0], (len(draws), 1))  # a copied factor reads as its index
+    encode = synth.gen_betavae_counterexample()._encoder
+    choice = encode(_FixedDraws(draws), z)
+    searched = np.stack([synth._BETAVAE_CDF[k].searchsorted(draws, side="right") for k in range(3)], axis=1)
+    assert np.array_equal(choice, searched)
+    z = np.random.default_rng(0).random((len(draws), 3))
+    assert np.array_equal(encode(_FixedDraws(draws), z), np.take_along_axis(z, searched, axis=1))
+
+
 def test_factorvae_counterexample_variances():
     ds = synth.gen_factorvae_counterexample(seed=2).sample_dataset(10000)
     variances = ds.latent_matrix().var(axis=0)
