@@ -55,11 +55,12 @@ class ParseError(MetricsError):
 
 
 class ValidationError(MetricsError):
-    """A dataset violates an invariant; carries the list of issues."""
+    """A dataset violates an invariant; carries every issue, and its message names the first 10."""
 
     def __init__(self, issues):
-        super().__init__("; ".join(str(i) for i in issues))
         self.issues = list(issues)
+        rest = len(self.issues) - 10
+        super().__init__("; ".join(str(i) for i in self.issues[:10]) + (f"; and {rest} more" if rest > 0 else ""))
 
 
 class NotComputableError(MetricsError):
@@ -328,9 +329,11 @@ def load_schema(path):
             continue
         if "=" not in line:
             raise SchemaError(f"bad schema line {line!r}")
-        name, role = line.split("=", 1)
-        _parse_role(role.strip())
-        schema[name.strip()] = role.strip()
+        name, role = (part.strip() for part in line.split("=", 1))
+        _parse_role(role)
+        if name in schema:
+            raise SchemaError(f"duplicate column {name!r} in schema")
+        schema[name] = role
     return schema
 
 
@@ -597,13 +600,13 @@ def load_matrix(path):
 
 
 class RepresentationOracle:
-    """Sampler of (z, c) pairs that can hold one generative factor fixed.
+    """Sampler of factor rows and encoder of them into latents, on one RNG.
 
     ``factor_sampler(rng, n)`` draws an (n, K) factor matrix from the
     factor marginals; ``encoder(rng, Z)`` maps it to an (n, N) latent
-    matrix (the encoder may itself be stochastic). When a factor is fixed
-    without an explicit value, one value is drawn from that factor's
-    marginal and shared by the whole batch.
+    matrix (the encoder may itself be stochastic). To hold a factor fixed,
+    overwrite its column of :meth:`sample_factors`' rows before
+    :meth:`encode`.
     """
 
     def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):
@@ -618,59 +621,22 @@ class RepresentationOracle:
         """Same generative structure, fresh RNG stream."""
         return RepresentationOracle(self.n_factors, self.n_latents, self._factor_sampler, self._encoder, seed)
 
-    def sample(self, n, fixed_factor=None, fixed_value=None):
-        """Draw n (z, c) pairs; optionally pin one factor.
+    def sample_factors(self, n):
+        """n factor rows, (n, K), from the factor marginals."""
+        return self._factor_sampler(self._rng, int(n))
 
-        ``fixed_value`` may be a scalar (shared by the batch), an (n,)
-        array (per-row values), or None (one shared value drawn from the
-        factor marginal).
-        """
-        if fixed_factor is not None and not 0 <= fixed_factor < self.n_factors:
-            raise ValueError(f"fixed_factor {fixed_factor} out of range")
-        if fixed_factor is not None and fixed_value is None:
-            fixed_value = float(self._factor_sampler(self._rng, 1)[0, fixed_factor])
-        z = self._factor_sampler(self._rng, int(n))
-        if fixed_factor is not None:
-            z[:, fixed_factor] = fixed_value
-        return z, self._encode(z)
-
-    def sample_batches(self, fixed_factors, batch_size, paired=False):
-        """Latents of one intervention batch per entry of ``fixed_factors``,
-        from one factor-sampler call and one encoder call.
-
-        Unpaired (FactorVAE), batch t holds factor ``fixed_factors[t]`` at
-        one value from the factor marginal; returns (T, batch_size, N).
-        Paired (BetaVAE), batch t is two halves whose second copies that
-        factor's column from the first; returns (T, 2, batch_size, N).
-        Factor rows come in the order the matching sequence of
-        :meth:`sample` calls draws them, so for a sampler whose draws
-        concatenate in row order and an encoder that draws nothing, the
-        latents equal those calls' bit for bit.
-        """
-        fixed = np.asarray(fixed_factors, dtype=np.int64)
-        if ((fixed < 0) | (fixed >= self.n_factors)).any():
-            raise ValueError("fixed factor out of range")
-        t = np.arange(fixed.size)
-        k = self.n_factors
-        if paired:
-            z = self._factor_sampler(self._rng, fixed.size * 2 * batch_size)
-            z = z.reshape(fixed.size, 2, batch_size, k)
-            z[t, 1, :, fixed] = z[t, 0, :, fixed]
-        else:
-            # the first row of each block only supplies the pinned value
-            z = self._factor_sampler(self._rng, fixed.size * (batch_size + 1))
-            z = z.reshape(fixed.size, batch_size + 1, k)
-            z[t, 1:, fixed] = z[t, 0, fixed][:, None]
-            z = z[:, 1:]
-        return self._encode(z.reshape(-1, k)).reshape(*z.shape[:-1], self.n_latents)
-
-    def _encode(self, z):
+    def encode(self, z):
         """The encoder's latents for factor rows z; a non-finite one raises :class:`ValidationError`."""
         c = self._encoder(self._rng, z)
         finite = np.isfinite(c)
         if not finite.all():
             raise ValidationError(_non_finite([f"c{i + 1}" for i in range(c.shape[1])], finite))
         return c
+
+    def sample(self, n):
+        """Draw n (z, c) pairs from the factor marginals."""
+        z = self.sample_factors(n)
+        return z, self.encode(z)
 
     def sample_dataset(self, n):
         """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""

@@ -11,7 +11,7 @@ selection of them on a dataset, an oracle or an informativeness matrix.
 All argmax ties break deterministically toward the smallest index.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class InterventionConfig:
             raise ValueError("batch_size must be >= 2")
         if self.train_points < 1 or self.eval_points < 1:
             raise ValueError("point counts must be >= 1")
-
-    def as_dict(self):
-        return {
-            "train_points": self.train_points,
-            "eval_points": self.eval_points,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
 
 
 def _spawn_seeds(seed, count, domain=0):
@@ -102,11 +94,22 @@ def _chunks(count, rows_per_batch):
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _betavae_points(oracle, choice_rng, count, batch_size, n_factors):
-    labels = choice_rng.integers(n_factors, size=count)
+def _splits(oracle, config, seeds, points, *args):
+    """``points`` on the train split, then on the eval split, each on an
+    oracle and a factor-choice stream seeded from its own pair of ``seeds``."""
+    return [points(oracle.reseeded(seeds[i]), np.random.default_rng(seeds[i + 1]), count, config.batch_size, *args)
+            for i, count in ((0, config.train_points), (2, config.eval_points))]
+
+
+def _betavae_points(oracle, choice_rng, count, batch_size):
+    labels = choice_rng.integers(oracle.n_factors, size=count)
     feats = np.empty((count, oracle.n_latents))
     for start, stop in _chunks(count, 2 * batch_size):
-        c = oracle.sample_batches(labels[start:stop], batch_size, paired=True)
+        # batch t is 2 x B factor rows whose second half copies column r[t] of its first
+        r, t = labels[start:stop], np.arange(stop - start)
+        z = oracle.sample_factors(t.size * 2 * batch_size).reshape(t.size, 2, batch_size, -1)
+        z[t, 1, :, r] = z[t, 0, :, r]
+        c = oracle.encode(z.reshape(-1, oracle.n_factors)).reshape(t.size, 2, batch_size, -1)
         feats[start:stop] = np.abs(c[:, 0] - c[:, 1]).mean(axis=1)
     return feats, labels
 
@@ -123,24 +126,15 @@ def beta_vae_score(oracle, config=InterventionConfig()):
     if oracle.n_factors < 2:
         raise NotComputableError("needs at least 2 generative factors")
     seeds = _spawn_seeds(config.seed, 4, domain=1)
-    train_feats, train_labels = _betavae_points(
-        oracle.reseeded(seeds[0]), np.random.default_rng(seeds[1]),
-        config.train_points, config.batch_size, oracle.n_factors,
-    )
-    eval_feats, eval_labels = _betavae_points(
-        oracle.reseeded(seeds[2]), np.random.default_rng(seeds[3]),
-        config.eval_points, config.batch_size, oracle.n_factors,
-    )
+    (train_feats, train_labels), (eval_feats, eval_labels) = _splits(oracle, config, seeds, _betavae_points)
     # standardize with train statistics: the raw differences sit in a narrow
     # band, which stalls zero-initialized gradient descent
     mu = train_feats.mean(axis=0)
     sigma = train_feats.std(axis=0)
     sigma[sigma == 0] = 1.0
-    model = estimators.fit_linear_classifier(
-        (train_feats - mu) / sigma, train_labels, ClassifierConfig()
-    )
-    eval_std = (eval_feats - mu) / sigma
-    predictions = model.predict(eval_std)
+    train_std = (train_feats - mu) / sigma
+    model = estimators.fit_linear_classifier(train_std, train_labels, ClassifierConfig())
+    predictions = model.predict((eval_feats - mu) / sigma)
     score = float(np.mean(predictions == eval_labels))
     per_class = {}
     for r in range(oracle.n_factors):
@@ -150,11 +144,11 @@ def beta_vae_score(oracle, config=InterventionConfig()):
         metric="betavae",
         score=score,
         intermediates={
-            "train_accuracy": model.accuracy((train_feats - mu) / sigma, train_labels),
+            "train_accuracy": model.accuracy(train_std, train_labels),
             "per_class_accuracy": per_class,
             "feature_means": mu,
         },
-        config=config.as_dict(),
+        config=asdict(config),
         seed=config.seed,
     )
 
@@ -164,12 +158,16 @@ def beta_vae_score(oracle, config=InterventionConfig()):
 # ---------------------------------------------------------------------------
 
 
-def _factorvae_points(oracle, choice_rng, count, batch_size, n_factors, ref_std, active):
-    labels = choice_rng.integers(n_factors, size=count)
+def _factorvae_points(oracle, choice_rng, count, batch_size, ref_std, active):
+    labels = choice_rng.integers(oracle.n_factors, size=count)
     dims = np.empty(count, dtype=np.int64)
     active_idx = np.flatnonzero(active)
     for start, stop in _chunks(count, batch_size + 1):
-        c = oracle.sample_batches(labels[start:stop], batch_size)
+        # block t is B + 1 factor rows; the first only supplies the value column r[t] holds in the other B
+        r, t = labels[start:stop], np.arange(stop - start)
+        z = oracle.sample_factors(t.size * (batch_size + 1)).reshape(t.size, batch_size + 1, -1)
+        z[t, 1:, r] = z[t, 0, r][:, None]
+        c = oracle.encode(z[:, 1:].reshape(-1, oracle.n_factors)).reshape(t.size, batch_size, -1)
         scaled = c[:, :, active_idx] / ref_std[active_idx]
         dims[start:stop] = active_idx[np.argmin(scaled.var(axis=1), axis=1)]
     return dims, labels
@@ -191,30 +189,21 @@ def factor_vae_score(oracle, config=InterventionConfig()):
     active = ref_std >= FACTORVAE_STD_FLOOR
     if not active.any():
         raise NotComputableError("all latent dimensions are degenerate (zero variance)")
-    train_dims, train_labels = _factorvae_points(
-        oracle.reseeded(seeds[1]), np.random.default_rng(seeds[2]),
-        config.train_points, config.batch_size, oracle.n_factors, ref_std, active,
-    )
-    eval_dims, eval_labels = _factorvae_points(
-        oracle.reseeded(seeds[3]), np.random.default_rng(seeds[4]),
-        config.eval_points, config.batch_size, oracle.n_factors, ref_std, active,
-    )
-    table = estimators.majority_vote(
-        np.column_stack([train_dims, train_labels]),
-        n_latents=oracle.n_latents,
-        n_factors=oracle.n_factors,
-    )
+    (train_dims, train_labels), (eval_dims, eval_labels) = _splits(
+        oracle, config, seeds[1:], _factorvae_points, ref_std, active)
+    train_pairs = np.column_stack([train_dims, train_labels])
+    table = estimators.majority_vote(train_pairs, n_latents=oracle.n_latents, n_factors=oracle.n_factors)
     score = float(np.mean(table.predictions[eval_dims] == eval_labels))
     return MetricReport(
         metric="factorvae",
         score=score,
         intermediates={
-            "train_accuracy": table.accuracy(np.column_stack([train_dims, train_labels])),
+            "train_accuracy": table.accuracy(train_pairs),
             "votes": table.votes,
             "reference_std": ref_std,
             "excluded_dimensions": np.flatnonzero(~active),
         },
-        config=config.as_dict(),
+        config=asdict(config),
         seed=config.seed,
     )
 
@@ -268,11 +257,11 @@ def dci_score(importances):
     )
 
 
-def dci_from_dataset(dataset, method="forest", config=None):
+def dci_from_dataset(dataset, method="forest"):
     """DCI with the importance matrix estimated from data (one regressor
     per factor). Flags the report when the regressors explain almost none
     of the factor variance."""
-    matrix, masses = estimators.importance_matrix_from_dataset(dataset, method, config)
+    matrix, masses = estimators.importance_matrix_from_dataset(dataset, method)
     report = dci_score(matrix)
     report.intermediates["importances"] = matrix
     report.intermediates["explained_mass_per_factor"] = masses
@@ -487,7 +476,7 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
         except NotComputableError as exc:
             report = MetricReport(
                 metric=name, score=None, skipped=True, skip_reason=str(exc),
-                config={} if is_matrix else config.as_dict(), seed=seed,
+                config={} if is_matrix else asdict(config), seed=seed,
             )
         reports.append(report)
     return reports

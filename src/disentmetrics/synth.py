@@ -290,34 +290,21 @@ def parse_spec_string(text, seed=DEFAULT_SEED, n=10000):
                 raise ValueError(f"bad generator parameter {item!r} (expected key=value)")
             key, value = item.split("=", 1)
             params[key.strip()] = float(value) if "." in value or "e" in value.lower() else int(value)
-    seed = int(params.pop("seed", seed))
-    n = int(params.pop("n", n))
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
+    seed = _cast(params.pop("seed", seed), int, "seed", name)
+    n = _cast(params.pop("n", n), int, "n", name)
     return GeneratorSpec(name=name, params=params, seed=seed, n=n)
 
 
-def _build_disentangled(p, spec):
-    if p["cubic"] not in (0, 1):
-        raise ValueError(f"disentangled parameter cubic must be 0 or 1, got {p['cubic']!r}")
-    return gen_disentangled(
-        n_factors=int(p["K"]),
-        n=spec.n,
-        noise_std=float(p["noise_std"]),
-        map_kind="cubic" if p["cubic"] else "linear",
-        seed=spec.seed,
-        return_info=True,
-    )
-
-
-def _build_entangled(p, spec):
-    return gen_entangled_family(
-        level=float(p["level"]),
-        n_factors=int(p["K"]),
-        n=spec.n,
-        seed=spec.seed,
-        return_info=True,
-    )
+def _cast(value, kind, key, name):
+    """``value`` as a ``kind`` (bool, int or float); a flag takes only 0 or 1
+    and an integer only an integral value (ValueError otherwise)."""
+    if kind is bool and value not in (0, 1):
+        raise ValueError(f"{name} parameter {key} must be 0 or 1, got {value!r}")
+    if kind is int and not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
+    return kind(value)
 
 
 # name -> (every parameter the generator reads, with its default;
@@ -327,12 +314,14 @@ GENERATORS = {
                                                     {"mix": BETAVAE_MIX.tolist()})),
     "factorvae-counterexample": ({}, lambda p, spec: (gen_factorvae_counterexample(spec.seed),
                                                       {"mix": FACTORVAE_MIX.tolist()})),
-    "identity": ({"K": 3}, lambda p, spec: (gen_identity_oracle(int(p["K"]), spec.seed), {})),
-    "noise": ({"K": 3, "N": 3}, lambda p, spec: (gen_noise_oracle(int(p["K"]), int(p["N"]), spec.seed), {})),
+    "identity": ({"K": 3}, lambda p, spec: (gen_identity_oracle(p["K"], spec.seed), {})),
+    "noise": ({"K": 3, "N": 3}, lambda p, spec: (gen_noise_oracle(p["K"], p["N"], spec.seed), {})),
     "sap-nonlinear": ({}, lambda p, spec: (gen_sap_nonlinear(spec.n, spec.seed), {})),
     "sap-duplicate": ({}, lambda p, spec: (gen_sap_duplicate(spec.n, spec.seed), {})),
-    "disentangled": ({"K": 4, "noise_std": 0.0, "cubic": 0}, _build_disentangled),
-    "entangled": ({"level": 0.5, "K": 4}, _build_entangled),
+    "disentangled": ({"K": 4, "noise_std": 0.0, "cubic": False}, lambda p, spec: gen_disentangled(
+        p["K"], spec.n, p["noise_std"], "cubic" if p["cubic"] else "linear", spec.seed, return_info=True)),
+    "entangled": ({"level": 0.5, "K": 4}, lambda p, spec: gen_entangled_family(
+        p["level"], p["K"], spec.n, spec.seed, return_info=True)),
 }
 
 ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", "identity", "noise")
@@ -340,7 +329,8 @@ ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", 
 
 def build(spec):
     """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
-    An unknown generator or a parameter it does not read raises ValueError."""
+    An unknown generator, a parameter it does not read, or a value the type
+    of the parameter's default does not admit raises ValueError."""
     if spec.name not in GENERATORS:
         raise ValueError(f"unknown generator {spec.name!r} (known: {', '.join(sorted(GENERATORS))})")
     defaults, builder = GENERATORS[spec.name]
@@ -348,7 +338,8 @@ def build(spec):
         if key not in defaults:
             known = ", ".join(defaults) or "none"
             raise ValueError(f"unknown parameter {key!r} for generator {spec.name!r} (known: {known})")
-    return builder({**defaults, **spec.params}, spec)
+    params = {key: _cast(value, type(defaults[key]), key, spec.name) for key, value in spec.params.items()}
+    return builder({**defaults, **params}, spec)
 
 
 def dataset_from_spec(spec):

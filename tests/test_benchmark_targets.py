@@ -7,10 +7,14 @@ catch it in the ordinary test run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from disentmetrics.core import RepresentationDataset
+import pytest
+
+from disentmetrics.core import RepresentationDataset, RepresentationOracle
 from disentmetrics.estimators import ClassifierConfig
+from disentmetrics.metrics import InterventionConfig, beta_vae_score, factor_vae_score
 
 
 def _tracing():
@@ -33,3 +37,32 @@ def test_dataset_accessors_and_classifier_epochs_exist():
     assert callable(RepresentationDataset.factor_matrix)
     assert callable(RepresentationDataset.latent_matrix)
     assert isinstance(ClassifierConfig().epochs, int)
+
+
+@pytest.mark.parametrize("scorer, sample_calls", [(beta_vae_score, 0), (factor_vae_score, 1)])
+def test_oracle_metrics_reach_the_encoder_only_through_encode(monkeypatch, scorer, sample_calls):
+    """The harness times ``RepresentationOracle.sample`` (FactorVAE's one
+    reference draw, counted by its ``n``) as the oracle layer."""
+    assert list(inspect.signature(RepresentationOracle.sample).parameters) == ["self", "n"]
+    counts = {"sample": 0, "encode": 0, "encoder": 0}
+
+    def counted(name):
+        method = getattr(RepresentationOracle, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("sample", "encode"):
+        monkeypatch.setattr(RepresentationOracle, name, counted(name))
+
+    def encoder(rng, z):
+        counts["encoder"] += 1
+        return z.copy()
+
+    oracle = RepresentationOracle(3, 3, lambda rng, n: rng.random((n, 3)), encoder, seed=0)
+    scorer(oracle, InterventionConfig(train_points=20, eval_points=10, batch_size=4, seed=0))
+    assert counts["sample"] == sample_calls
+    assert counts["encode"] == counts["encoder"] > 0

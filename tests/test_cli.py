@@ -97,6 +97,14 @@ def test_gen_rejects_unknown_generator_parameter(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["entangled:K=3.7", "noise:K=2.9,N=1.5", "identity:seed=1.9", "identity:n=3.5"])
+def test_gen_rejects_a_non_integral_integer_parameter(tmp_path, capsys, spec):
+    code, out, err = run(["gen", "--spec", spec, "--n", "50", "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must be an integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_unknown_case_lists_registry(capsys):
     code, _, err = run(["reproduce", "nosuch"], capsys)
     assert code == 1

@@ -19,6 +19,7 @@ from disentmetrics.core import (
     RepresentationDataset,
     SchemaError,
     ValidationError,
+    ValidationIssue,
     _atomic_write,
     load_dataset,
     load_matrix,
@@ -102,6 +103,14 @@ def test_duplicate_column_names_rejected(tmp_path, schema):
     p = write(tmp_path / "d.csv", "z1:c,c1,c1\n1,4,5\n2,7,6\n3,8,9\n")
     with pytest.raises(SchemaError, match="duplicate column 'c1'"):
         load_dataset(p, schema=schema)
+
+
+def test_schema_file_naming_a_column_twice_is_rejected(tmp_path):
+    schema_path = write(tmp_path / "d.schema", "z1=factor:c\nc1=latent\nc1=factor:c\n")
+    p = write(tmp_path / "d.csv", "z1,c1\n1,4\n2,7\n")
+    for load in (lambda: load_schema(schema_path), lambda: load_dataset(p, schema=schema_path)):
+        with pytest.raises(SchemaError, match="^duplicate column 'c1' in schema$"):
+            load()
 
 
 def test_header_fault_is_reported_before_a_bad_cell(tmp_path):
@@ -532,6 +541,18 @@ def test_validate_lists_issues_column_by_column():
     ]
 
 
+def test_validation_error_message_names_ten_issues_and_counts_the_rest(tmp_path):
+    p = write(tmp_path / "nan.csv", "z1:c,c1\n" + "0.5,nan\n" * 20000)
+    with pytest.raises(ValidationError) as err:
+        load_dataset(p)
+    assert len(err.value.issues) == 20000
+    shown = "; ".join(f"non-finite value [column c1, row {r}]" for r in range(1, 11))
+    assert str(err.value) == shown + "; and 19990 more"
+    issues = [ValidationIssue("c1", r, "non-finite value") for r in range(1, 12)]
+    assert str(ValidationError(issues[:10])) == "; ".join(map(str, issues[:10]))
+    assert str(ValidationError(issues)) == "; ".join(map(str, issues[:10])) + "; and 1 more"
+
+
 def test_validate_discrete_out_of_range_names_cell():
     ds = RepresentationDataset([[0.0], [5.0], [1.0]], [[0.5], [0.25], [0.1]], cardinalities=[3])
     issues = validate(ds)
@@ -607,18 +628,6 @@ def test_oracle_seed_reproducibility():
     assert np.array_equal(z1, z2) and np.array_equal(c1, c2)
     z3, _ = o1.reseeded(42).sample(100)
     assert np.array_equal(z1, z3)
-
-
-def test_oracle_honors_fixed_factor():
-    oracle = synth.gen_betavae_counterexample(seed=1)
-    z, _ = oracle.sample(200, fixed_factor=1, fixed_value=0.25)
-    assert (z[:, 1] == 0.25).all()
-    values = np.linspace(0, 1, 200)
-    z, _ = oracle.sample(200, fixed_factor=2, fixed_value=values)
-    assert np.array_equal(z[:, 2], values)
-    # no explicit value: one marginal draw shared by the batch
-    z, _ = oracle.sample(200, fixed_factor=0)
-    assert np.unique(z[:, 0]).size == 1
 
 
 def test_report_json_stable():

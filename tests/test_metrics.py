@@ -294,30 +294,35 @@ def test_factorvae_excludes_collapsed_dimension():
 
 
 # --- batched intervention points ----------------------------------------------
-# The per-batch loops, one oracle.sample call per batch, kept verbatim as the
-# reference the chunked draws must match bit for bit whenever the factor
-# sampler draws rows in order and the encoder draws nothing.
+# The per-batch loops, one sampler call and one encoder call per half batch,
+# kept as the reference the chunked draws must match bit for bit whenever
+# the factor sampler draws rows in order and the encoder draws nothing.
 
 
-def _ref_betavae_points(oracle, choice_rng, count, batch_size, n_factors):
+def _ref_betavae_points(oracle, choice_rng, count, batch_size):
     feats = np.empty((count, oracle.n_latents))
     labels = np.empty(count, dtype=np.int64)
     for t in range(count):
-        r = int(choice_rng.integers(n_factors))
-        z_a, c_a = oracle.sample(batch_size)
-        _, c_b = oracle.sample(batch_size, fixed_factor=r, fixed_value=z_a[:, r])
-        feats[t] = np.abs(c_a - c_b).mean(axis=0)
+        r = int(choice_rng.integers(oracle.n_factors))
+        z_a = oracle.sample_factors(batch_size)
+        c_a = oracle.encode(z_a)
+        z_b = oracle.sample_factors(batch_size)
+        z_b[:, r] = z_a[:, r]
+        feats[t] = np.abs(c_a - oracle.encode(z_b)).mean(axis=0)
         labels[t] = r
     return feats, labels
 
 
-def _ref_factorvae_points(oracle, choice_rng, count, batch_size, n_factors, ref_std, active):
+def _ref_factorvae_points(oracle, choice_rng, count, batch_size, ref_std, active):
     dims = np.empty(count, dtype=np.int64)
     labels = np.empty(count, dtype=np.int64)
     active_idx = np.flatnonzero(active)
     for t in range(count):
-        r = int(choice_rng.integers(n_factors))
-        _, c = oracle.sample(batch_size, fixed_factor=r)
+        r = int(choice_rng.integers(oracle.n_factors))
+        value = oracle.sample_factors(1)[0, r]  # one marginal draw shared by the batch
+        z = oracle.sample_factors(batch_size)
+        z[:, r] = value
+        c = oracle.encode(z)
         scaled = c[:, active_idx] / ref_std[active_idx]
         dims[t] = int(active_idx[np.argmin(scaled.var(axis=0))])
         labels[t] = r
@@ -334,23 +339,36 @@ ROW_ORDER_ORACLES = [("identity", k) for k in (2, 3, 4, 5)] + [("factorvae-count
 POINT_SIZES = [(75, 64), (130, 16), (1, 2), (3, 3000)]
 
 
-def _row_order_oracle(name, k, seed):
+def _row_order_oracle(name, k, seed, encoded=None):
+    """The named oracle; with ``encoded``, a copy of every factor matrix it encodes is appended there."""
     if name == "identity":
-        return synth.gen_identity_oracle(n_factors=k, seed=seed)
-    return synth.gen_factorvae_counterexample(seed=seed)
+        oracle = synth.gen_identity_oracle(n_factors=k, seed=seed)
+    else:
+        oracle = synth.gen_factorvae_counterexample(seed=seed)
+    if encoded is None:
+        return oracle
+
+    def encoder(rng, z):
+        encoded.append(z.copy())
+        return oracle._encoder(rng, z)
+
+    return RepresentationOracle(oracle.n_factors, oracle.n_latents, oracle._factor_sampler, encoder, seed)
 
 
 @pytest.mark.parametrize("count,batch_size", POINT_SIZES)
 @pytest.mark.parametrize("name,k", ROW_ORDER_ORACLES)
 def test_betavae_points_match_per_batch_reference(name, k, count, batch_size):
-    got_oracle, ref_oracle = _row_order_oracle(name, k, 3), _row_order_oracle(name, k, 3)
+    got_rows, ref_rows = [], []
+    got_oracle, ref_oracle = _row_order_oracle(name, k, 3, got_rows), _row_order_oracle(name, k, 3, ref_rows)
     got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-    feats, labels = metrics._betavae_points(got_oracle, got_rng, count, batch_size, k)
-    ref_feats, ref_labels = _ref_betavae_points(ref_oracle, ref_rng, count, batch_size, k)
+    feats, labels = metrics._betavae_points(got_oracle, got_rng, count, batch_size)
+    ref_feats, ref_labels = _ref_betavae_points(ref_oracle, ref_rng, count, batch_size)
     assert np.array_equal(_bits(feats), _bits(ref_feats))
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(_bits(got_oracle.sample(4)[1]), _bits(ref_oracle.sample(4)[1]))
+    # every factor row reaches the encoder, pinned as in the per-batch loop, in its order
+    assert np.array_equal(_bits(np.concatenate(got_rows)), _bits(np.concatenate(ref_rows)))
 
 
 @pytest.mark.parametrize("count,batch_size", POINT_SIZES)
@@ -360,35 +378,17 @@ def test_factorvae_points_match_per_batch_reference(name, k, count, batch_size):
     active = np.ones(k, dtype=bool)
     if k >= 4:
         active[k // 2] = False  # leave one dimension out of the argmin
-    got_oracle, ref_oracle = _row_order_oracle(name, k, 3), _row_order_oracle(name, k, 3)
+    got_rows, ref_rows = [], []
+    got_oracle, ref_oracle = _row_order_oracle(name, k, 3, got_rows), _row_order_oracle(name, k, 3, ref_rows)
     got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-    dims, labels = metrics._factorvae_points(got_oracle, got_rng, count, batch_size, k, ref_std, active)
-    ref_dims, ref_labels = _ref_factorvae_points(ref_oracle, ref_rng, count, batch_size, k, ref_std, active)
+    dims, labels = metrics._factorvae_points(got_oracle, got_rng, count, batch_size, ref_std, active)
+    ref_dims, ref_labels = _ref_factorvae_points(ref_oracle, ref_rng, count, batch_size, ref_std, active)
     assert np.array_equal(dims, ref_dims)
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(_bits(got_oracle.sample(4)[1]), _bits(ref_oracle.sample(4)[1]))
-
-
-@pytest.mark.parametrize("name,k", ROW_ORDER_ORACLES)
-def test_sample_batches_match_sample_calls(name, k):
-    fixed = np.random.default_rng(k).integers(k, size=7)
-    got, ref = _row_order_oracle(name, k, 4), _row_order_oracle(name, k, 4)
-    paired = got.sample_batches(fixed, 9, paired=True)
-    unpaired = got.sample_batches(fixed, 9)
-    for t, r in enumerate(fixed):
-        z_a, c_a = ref.sample(9)
-        _, c_b = ref.sample(9, fixed_factor=r, fixed_value=z_a[:, r])
-        assert np.array_equal(_bits(paired[t]), _bits(np.stack([c_a, c_b])))
-    for t, r in enumerate(fixed):
-        assert np.array_equal(_bits(unpaired[t]), _bits(ref.sample(9, fixed_factor=r)[1]))
-
-
-def test_sample_batches_rejects_out_of_range_factor():
-    oracle = synth.gen_identity_oracle(n_factors=3, seed=1)
-    for fixed in ([0, 3], [-1]):
-        with pytest.raises(ValueError, match="out of range"):
-            oracle.sample_batches(fixed, 5)
+    # every factor row reaches the encoder, pinned as in the per-batch loop, in its order
+    assert np.array_equal(_bits(np.concatenate(got_rows)), _bits(np.concatenate(ref_rows)))
 
 
 def test_chunks_cover_every_batch_once():
@@ -553,10 +553,19 @@ def test_oracle_metrics_reject_non_finite_latents(name, scorer, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_oracle_sampling_rejects_non_finite_latents(bad):
     oracle = _bad_latent_oracle(bad)
-    for draw in (lambda: oracle.sample(5), lambda: oracle.sample_batches([0, 2], 4, paired=True),
-                 lambda: oracle.sample_batches([1], 4)):
+    config = InterventionConfig(train_points=3, eval_points=2, batch_size=2, seed=1)
+    for draw in (lambda: oracle.sample(5), lambda: oracle.encode(oracle.sample_factors(4)),
+                 lambda: beta_vae_score(oracle, config), lambda: factor_vae_score(oracle, config)):
         with pytest.raises(ValidationError, match=r"^non-finite value \[column c2, row 3\]$"):
             draw()
+
+
+def test_oracle_encoding_error_message_stays_short():
+    oracle = RepresentationOracle(2, 2, lambda rng, n: rng.random((n, 2)), lambda rng, z: np.full(z.shape, np.nan))
+    with pytest.raises(ValidationError) as err:
+        oracle.encode(oracle.sample_factors(4096))
+    assert len(err.value.issues) == 2 * 4096
+    assert str(err.value).endswith("; non-finite value [column c1, row 10]; and 8182 more")
 
 
 def test_evaluate_all_missing_column_group_still_skips():

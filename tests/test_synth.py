@@ -35,10 +35,25 @@ def test_betavae_counterexample_copy_probabilities():
     assert np.mean(c[:, 1] == z[:, 0]) < 0.02  # p2 gives factor 1 weight 0
 
 
+def _pinned_draw(oracle, n, factor=None, value=None):
+    """n (z, c) pairs with ``factor`` held at ``value`` (at one marginal draw
+    shared by the rows when None), from the oracle's two primitives."""
+    if factor is not None and value is None:
+        value = oracle.sample_factors(1)[0, factor]
+    z = oracle.sample_factors(n)
+    if factor is not None:
+        z[:, factor] = value
+    return z, oracle.encode(z)
+
+
 def test_betavae_counterexample_respects_intervention():
     oracle = synth.gen_betavae_counterexample(seed=2)
-    z, _ = oracle.sample(500, fixed_factor=2, fixed_value=0.75)
+    z, c = _pinned_draw(oracle, 500, 2, 0.75)
     assert (z[:, 2] == 0.75).all()
+    # latent k copies factor 2 with probability BETAVAE_MIX[k, 2] = 0, 0.5, 0.5
+    copied = (c == 0.75).mean(axis=0)
+    assert copied[0] == 0.0 and abs(copied[1] - 0.5) < 0.1 and abs(copied[2] - 0.5) < 0.1
+    assert ((c == z[:, :1]) | (c == z[:, 1:2]) | (c == z[:, 2:])).all()
 
 
 def _ref_betavae_encode(rng, z):
@@ -58,8 +73,8 @@ def test_betavae_counterexample_encoder_matches_rng_choice(n):
     reference = RepresentationOracle(
         3, 3, lambda rng, m: rng.uniform(0.0, 1.0, size=(m, 3)), _ref_betavae_encode, seed=n)
     for args in ((n,), (n, 1), (n, 2, 0.25), (n,)):
-        z, c = oracle.sample(*args)
-        z_ref, c_ref = reference.sample(*args)
+        z, c = _pinned_draw(oracle, *args)
+        z_ref, c_ref = _pinned_draw(reference, *args)
         assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
         assert np.array_equal(c.view(np.uint64), c_ref.view(np.uint64))
         assert oracle._rng.bit_generator.state == reference._rng.bit_generator.state
@@ -201,6 +216,34 @@ def test_comparison_matrices_unknown_case():
 def test_build_rejects_parameters_the_generator_does_not_read(name, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         synth.build(GeneratorSpec(name, params, n=50))
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("entangled", {"K": 3.7}, "entangled parameter K must be an integer, got 3.7"),
+    ("noise", {"K": 2.9, "N": 1}, "noise parameter K must be an integer, got 2.9"),
+    ("noise", {"N": 1.5}, "noise parameter N must be an integer, got 1.5"),
+    ("disentangled", {"K": float("inf")}, "disentangled parameter K must be an integer, got inf"),
+    ("identity", {"K": float("nan")}, "identity parameter K must be an integer, got nan"),
+])
+def test_build_rejects_a_non_integral_integer_parameter(name, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.build(GeneratorSpec(name, params, n=50))
+
+
+def test_build_casts_each_parameter_to_its_declared_type():
+    ds, info = synth.build(GeneratorSpec("entangled", {"K": 3.0, "level": 1}, n=50))
+    assert ds.n_factors == 3 and type(info["level"]) is float
+    oracle, _ = synth.build(GeneratorSpec("noise", {"K": np.int64(2), "N": 4.0}))
+    assert (oracle.n_factors, oracle.n_latents) == (2, 4)
+
+
+def test_parse_spec_string_rejects_a_non_integral_seed_or_n():
+    for text, message in (("identity:seed=1.9,n=3", "identity parameter seed must be an integer, got 1.9"),
+                          ("identity:n=3.5", "identity parameter n must be an integer, got 3.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_spec_string(text)
+    spec = parse_spec_string("identity:seed=2.0,n=3e1")
+    assert (spec.seed, spec.n) == (2, 30) and type(spec.seed) is int and type(spec.n) is int
 
 
 def test_build_rejects_an_unknown_generator():
