@@ -94,6 +94,7 @@ def cmd_eval(args):
     inputs = [x for x in (args.dataset, args.oracle, args.matrix) if x is not None]
     if len(inputs) != 1:
         raise ValueError("exactly one of --dataset, --oracle, or --matrix is required")
+    config = _intervention(args)  # before the oracle spec, whose n is --train-points
     if args.matrix:
         source = load_matrix(args.matrix)
     elif args.dataset:
@@ -107,7 +108,7 @@ def cmd_eval(args):
     reports = metrics.evaluate_all(
         source,
         metrics=selection,
-        config=_intervention(args),
+        config=config,
         binning=_binning(args),
         importance_method=args.importance_method,
     )

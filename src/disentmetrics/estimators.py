@@ -51,11 +51,12 @@ class BinningSpec:
 def discretize(values, spec=BinningSpec()):
     """Map real values to labels in 0..bin_count-1.
 
-    Quantile binning assigns near-equal counts per bin by stable rank;
-    tied values share the bin of their first sorted occurrence, so equal
-    inputs always land in the same bin and a strictly increasing transform
-    of the input leaves the labels unchanged. Equal-width binning splits
-    [min, max] uniformly. Constant input maps everything to bin 0.
+    Quantile binning gives a value x the label
+    ``(#{values below x} * bin_count) // n``: near-equal counts per bin,
+    equal inputs always in the same bin (that of their first sorted
+    occurrence), and labels unchanged by a strictly increasing transform of
+    the input. Equal-width binning splits [min, max] uniformly. Constant
+    input maps everything to bin 0.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
@@ -65,15 +66,11 @@ def discretize(values, spec=BinningSpec()):
     if v.min() == v.max():
         return np.zeros(v.size, dtype=np.int64)
     if spec.strategy == "quantile":
+        # the label is at least b exactly when x exceeds the sorted value of
+        # rank ceil(b*n/bin_count) - 1, so it counts those bin_count - 1 bounds below x
         n = v.size
-        order = np.argsort(v, kind="stable")
-        sorted_v = v[order]
-        group_starts = np.arange(n)
-        group_starts[1:][sorted_v[1:] == sorted_v[:-1]] = 0
-        group_rank = np.maximum.accumulate(group_starts)
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = group_rank
-        return (ranks * spec.bin_count) // n
+        bounds = np.sort(v)[-(-np.arange(1, spec.bin_count) * n // spec.bin_count) - 1]
+        return np.searchsorted(bounds, v, side="left")
     v = prescaled(v)
     lo, hi = v.min(), v.max()
     labels = np.floor((v - lo) / (hi - lo) * spec.bin_count).astype(np.int64)
@@ -81,18 +78,26 @@ def discretize(values, spec=BinningSpec()):
 
 
 def _coded(labels):
-    """(codes, count): each label's index among the sorted distinct labels."""
-    _, codes = np.unique(labels, return_inverse=True)
-    return codes, int(codes.max()) + 1
+    """(codes, counts): each label's index among the sorted distinct labels,
+    and how often each distinct label occurs. Small non-negative integer
+    labels (all that :func:`informativeness_from_mi` makes) are counted
+    without a sort, in a table no longer than the labels plus 1024."""
+    if labels.dtype.kind == "i" and labels.min() >= 0 and labels.max() < labels.size + 1024:
+        counts = np.bincount(labels)
+        present = counts > 0
+        return (np.cumsum(present) - 1)[labels], counts[present]
+    _, codes, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return codes, counts
 
 
-def _entropy(codes, count):
-    p = np.bincount(codes, minlength=count) / codes.size
+def _entropy(codes, counts):
+    p = counts / codes.size
     return float(-(p * np.log(p)).sum())
 
 
 def _mutual_information(a, b):
-    (ia, na), (ib, nb) = a, b
+    (ia, ca), (ib, cb) = a, b
+    na, nb = ca.size, cb.size
     joint = np.bincount(ia * nb + ib, minlength=na * nb).reshape(na, nb) / ia.size
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -162,16 +167,22 @@ def linear_regression_r2(x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("x and y must share a length >= 2")
-    return prescaled_r2(prescaled(x), prescaled(y))
+    return centred_r2(centred(x), centred(y))
 
 
-def prescaled_r2(x, y):
-    """:func:`linear_regression_r2` of two columns already passed through :func:`prescaled`."""
-    vx = x.var()
-    vy = y.var()
+def centred(v):
+    """(column, variance): ``v`` passed through :func:`prescaled` and
+    centred, with the variance of the prescaled column."""
+    v = prescaled(v)
+    return v - v.mean(), v.var()
+
+
+def centred_r2(a, b):
+    """:func:`linear_regression_r2` of two columns passed through :func:`centred`."""
+    (x, vx), (y, vy) = a, b
     if vx == 0.0 or vy == 0.0:
         return 0.0
-    cov = ((x - x.mean()) * (y - y.mean())).mean()
+    cov = (x * y).mean()
     return float(np.clip(cov * cov / (vx * vy), 0.0, 1.0))
 
 
@@ -186,7 +197,8 @@ def stump_accuracy(x, labels):
     p_max = counts.max() / n
     if classes.size < 2 or p_max == 1.0:
         return 0.0
-    order = np.argsort(x, kind="stable")
+    # cuts fall only between distinct values, so the order within ties cannot reach a prefix count
+    order = np.argsort(x)
     xs = x[order]
     onehot = np.zeros((n, classes.size), dtype=np.int64)
     onehot[np.arange(n), y[order]] = 1
@@ -325,10 +337,12 @@ def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
     target ``q`` (bag order). Each split's gain (S_L*m - S*l)^2 / (l*(m-l)*m)
     is shared equally by its latents: they are appended to ``credited`` and
     their shares to ``shares``, in the order the splits are made. ``order``
-    is the bag's stable argsort per latent (N, bag); filtering a stable sort
-    by a mark gives the stable sort of the subset, so no node sorts again.
-    ``vals`` holds the sorted values of the latents ``tied`` (those with a
-    repeated value in the bag), whose thresholds must fall between distinct values.
+    is the bag's argsort per latent (N, bag); filtering a sort by a mark
+    gives a sort of the subset, so no node sorts again. ``vals`` holds the
+    sorted values of the latents ``tied`` (those with a repeated value in
+    the bag), whose thresholds must fall between distinct values; so the
+    prefix sums at a threshold, and every split, do not depend on the order
+    within a run of tied values, and the sort need not be stable.
     Latents tying on the best gain are grouped by their left row sets; the
     group with the smallest sorted row ids is split on and shares the gain,
     so the tree does not depend on the order of the latent columns."""
@@ -401,7 +415,7 @@ def _forest_importances(latents, targets, config):
         for t in trees:
             idx = np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)
             x = latents[idx].T
-            order = np.argsort(x, axis=1, kind="stable")
+            order = np.argsort(x, axis=1)
             xs = np.take_along_axis(x, order, axis=1)
             tied = np.flatnonzero((xs[:, 1:] <= xs[:, :-1]).any(axis=1))
             for q, (sse_terms, credited, shares) in zip(qs, grown):

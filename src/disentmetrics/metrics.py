@@ -285,15 +285,15 @@ def sap_score(dataset):
     if dataset.n < 2:
         raise NotComputableError("needs at least 2 samples")
     scores = np.zeros((dataset.n_latents, dataset.n_factors))
-    # contiguous rows (strided views slow the R^2 sums), prescaled once each rather than once per pair
+    # contiguous rows (strided views slow the R^2 sums), centred once each rather than once per pair
     factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
-    scaled_factors, scaled_latents = (estimators.prescaled(m.T).T for m in (factors, latents))
+    centred_latents = [estimators.centred(c) for c in latents]
     for j, card in enumerate(dataset.cardinalities):
-        for i in range(dataset.n_latents):
-            if card is not None:
-                scores[i, j] = estimators.stump_accuracy(latents[i], factors[j])
-            else:
-                scores[i, j] = estimators.prescaled_r2(scaled_latents[i], scaled_factors[j])
+        if card is not None:
+            scores[:, j] = [estimators.stump_accuracy(c, factors[j]) for c in latents]
+        else:
+            z = estimators.centred(factors[j])
+            scores[:, j] = [estimators.centred_r2(c, z) for c in centred_latents]
     return _factor_gap_report("sap", scores, 1.0, informativeness=scores)
 
 

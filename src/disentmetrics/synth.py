@@ -7,6 +7,7 @@ All generators are bit-reproducible from (params, seed); sampling uses
 numpy's PCG64 generator throughout.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,7 +290,11 @@ def parse_spec_string(text, seed=DEFAULT_SEED, n=10000):
             if "=" not in item:
                 raise ValueError(f"bad generator parameter {item!r} (expected key=value)")
             key, value = item.split("=", 1)
-            params[key.strip()] = float(value) if "." in value or "e" in value.lower() else int(value)
+            try:
+                value = int(value)
+            except ValueError:
+                value = float(value)  # a decimal point, an exponent, nan or inf
+            params[key.strip()] = value
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
     seed = _cast(params.pop("seed", seed), int, "seed", name)
@@ -305,6 +310,19 @@ def _cast(value, kind, key, name):
     if kind is int and not isinstance(value, (int, np.integer)) and not float(value).is_integer():
         raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
     return kind(value)
+
+
+def _in_range(key, value, name):
+    """``value`` if it lies in the range of parameter ``key``: sizes (K, N,
+    n) at least 1, ``noise_std`` finite and non-negative, ``level`` in
+    [0, 1]; ValueError naming the parameter and the generator otherwise."""
+    if key in ("K", "N", "n") and value < 1:
+        raise ValueError(f"{name} parameter {key} must be at least 1, got {value!r}")
+    if key == "noise_std" and not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} parameter {key} must be finite and non-negative, got {value!r}")
+    if key == "level" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} parameter {key} must lie in [0, 1], got {value!r}")
+    return value
 
 
 # name -> (every parameter the generator reads, with its default;
@@ -329,8 +347,9 @@ ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", 
 
 def build(spec):
     """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
-    An unknown generator, a parameter it does not read, or a value the type
-    of the parameter's default does not admit raises ValueError."""
+    An unknown generator, a parameter it does not read, a value the type
+    of the parameter's default does not admit, or a value outside the
+    parameter's range (see :func:`_in_range`; ``n`` included) raises ValueError."""
     if spec.name not in GENERATORS:
         raise ValueError(f"unknown generator {spec.name!r} (known: {', '.join(sorted(GENERATORS))})")
     defaults, builder = GENERATORS[spec.name]
@@ -338,7 +357,9 @@ def build(spec):
         if key not in defaults:
             known = ", ".join(defaults) or "none"
             raise ValueError(f"unknown parameter {key!r} for generator {spec.name!r} (known: {known})")
-    params = {key: _cast(value, type(defaults[key]), key, spec.name) for key, value in spec.params.items()}
+    params = {key: _in_range(key, _cast(value, type(defaults[key]), key, spec.name), spec.name)
+              for key, value in spec.params.items()}
+    _in_range("n", spec.n, spec.name)
     return builder({**defaults, **params}, spec)
 
 

@@ -105,6 +105,21 @@ def test_gen_rejects_a_non_integral_integer_parameter(tmp_path, capsys, spec):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("identity:K=0", "identity parameter K must be at least 1, got 0"),
+    ("identity:n=0", "identity parameter n must be at least 1, got 0"),
+    ("noise:N=0", "noise parameter N must be at least 1, got 0"),
+    ("identity:K=-1", "identity parameter K must be at least 1, got -1"),
+    ("disentangled:noise_std=-1", "disentangled parameter noise_std must be finite and non-negative, got -1.0"),
+    ("entangled:level=nan", "entangled parameter level must lie in [0, 1], got nan"),
+])
+def test_gen_rejects_a_parameter_out_of_range(tmp_path, capsys, spec, message):
+    code, out, err = run(["gen", "--spec", spec, "--n", "20", "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_unknown_case_lists_registry(capsys):
     code, _, err = run(["reproduce", "nosuch"], capsys)
     assert code == 1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from disentmetrics import core, estimators, synth
 from disentmetrics.core import DegenerateLabelsError, RepresentationDataset
@@ -28,8 +29,8 @@ from disentmetrics.estimators import (
     mutual_information,
     stump_accuracy,
 )
-from disentmetrics.estimators import _quantized
-from disentmetrics.metrics import dci_score
+from disentmetrics.estimators import _coded, _quantized
+from disentmetrics.metrics import dci_score, sap_score
 
 
 # --- discretize ---------------------------------------------------------
@@ -65,6 +66,66 @@ def test_discretize_rejects_bad_input():
         discretize([1.0, np.nan], BinningSpec())
     with pytest.raises(ValueError):
         BinningSpec(bin_count=1)
+
+
+# --- quantile labels and codes against the sorting references -----------------
+# Quantile labels by stable rank, and codes through np.unique: the references
+# that the sort-free discretize and _coded must match in value and dtype.
+
+
+def _ref_discretize(values, bins):
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    if v.min() == v.max():
+        return np.zeros(n, dtype=np.int64)
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    group_starts = np.arange(n)
+    group_starts[1:][sorted_v[1:] == sorted_v[:-1]] = 0
+    group_rank = np.maximum.accumulate(group_starts)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = group_rank
+    return (ranks * bins) // n
+
+
+def _ref_coded(labels):
+    _, codes = np.unique(labels, return_inverse=True)
+    return codes, int(codes.max()) + 1
+
+
+# ties, signed zeros, subnormals and the ends of the float range
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(edge_floats, min_size=1, max_size=60), st.integers(2, 300))
+@example([2.0], 2)
+@example(list(np.linspace(-1.0, 1.0, 600)) + [0.0] * 40, 256)
+@example([0.0, -0.0, 0.0], 3)
+@example([1e308, -1e308, 5e-324], 20)
+@example([3.0, 1.0, 3.0], 2)
+@example([-5e-324, 0.0, 5e-324, -0.0], 7)
+def test_quantile_labels_equal_the_stable_rank_labels(values, bins):
+    labels = discretize(values, BinningSpec("quantile", bins))
+    ref = _ref_discretize(values, bins)
+    assert labels.dtype == ref.dtype and np.array_equal(labels, ref)
+
+
+@given(st.one_of(
+    st.lists(edge_floats, min_size=1, max_size=60).flatmap(
+        lambda v: st.integers(2, 300).map(lambda bins: discretize(v, BinningSpec("quantile", bins)))),
+    st.lists(st.integers(0, 1100), min_size=1, max_size=40).map(np.array),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40).map(np.array),
+))
+def test_codes_equal_the_unique_codes(labels):
+    codes, counts = _coded(labels)
+    ref_codes, ref_count = _ref_coded(labels)
+    assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
+    assert counts.size == ref_count
+    assert np.array_equal(counts, np.bincount(ref_codes))
 
 
 # --- entropy / mutual information ---------------------------------------
@@ -106,6 +167,14 @@ def test_mi_diagonal_joint():
 def test_mi_length_mismatch():
     with pytest.raises(ValueError):
         mutual_information([0, 1], [0, 1, 2])
+
+
+def test_entropy_and_mi_accept_negative_and_non_integer_labels():
+    for a, b in ((np.array([-3, -3, 2, 7, -1, 2]), np.array([0.5, 0.5, -2.25, 1e9, 0.5, 3.0])),
+                 (np.array(["x", "y", "x", "z"]), np.array([-1, -1, -2, -1]))):
+        for labels in (a, b):
+            assert entropy(labels) == _ref_entropy(labels)
+        assert mutual_information(a, b) == _ref_mutual_information(a, b)
 
 
 # --- informativeness matrix ---------------------------------------------
@@ -222,6 +291,27 @@ def test_r2_constant_input():
     assert linear_regression_r2(np.arange(10.0), np.ones(10)) == 0.0
 
 
+def _ref_r2(x, y):
+    """The R^2 arithmetic of the per-pair SAP loop, which centred each column once per pair."""
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    vx, vy = x.var(), y.var()
+    if vx == 0.0 or vy == 0.0:
+        return 0.0
+    cov = ((x - x.mean()) * (y - y.mean())).mean()
+    return float(np.clip(cov * cov / (vx * vy), 0.0, 1.0))
+
+
+def test_r2_matches_the_per_pair_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    n = 700
+    columns = [rng.standard_normal(n) * 1e300, rng.uniform(-1e-300, 1e-300, n), rng.standard_normal(n) * 3e307,
+               np.full(n, 2.5), rng.standard_normal(n), rng.integers(0, 3, n).astype(float)]
+    for x in columns:
+        for y in columns:
+            assert np.float64(linear_regression_r2(x, y)).view(np.uint64) == np.float64(_ref_r2(x, y)).view(np.uint64)
+
+
 # --- stump accuracy -------------------------------------------------------
 
 
@@ -240,6 +330,35 @@ def test_stump_uninformative():
 
 def test_stump_constant_labels():
     assert stump_accuracy(np.arange(5.0), np.zeros(5, dtype=int)) == 0.0
+
+
+def test_stump_accuracy_does_not_depend_on_the_order_within_ties():
+    rng = np.random.default_rng(8)
+    x = np.round(rng.standard_normal(400), 1)
+    y = (x + 0.5 * rng.standard_normal(400) > 0).astype(int) + (x > 1)
+    accuracy = stump_accuracy(x, y)
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(400)
+        assert stump_accuracy(x[perm], y[perm]) == accuracy
+
+
+# --- no sort on the MI and SAP paths -------------------------------------------
+
+
+def test_mi_and_sap_do_not_sort_continuous_data(monkeypatch):
+    """Quantile coding and SAP's R^2 need no argsort and no np.unique, so a sort cannot creep back unnoticed."""
+    dataset = synth.gen_entangled_family(0.4, n_factors=3, n=3000, seed=5)
+    expected = informativeness_from_mi(dataset), sap_score(dataset)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted on the MI or SAP path")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    matrix, sap = informativeness_from_mi(dataset), sap_score(dataset)
+    assert np.array_equal(matrix.values, expected[0].values)
+    assert np.array_equal(matrix.factor_entropies, expected[0].factor_entropies)
+    assert sap.score == expected[1].score
 
 
 # --- linear classifier ----------------------------------------------------
@@ -557,6 +676,28 @@ def _assert_bits_match_reference(dataset, config):
 @pytest.mark.parametrize("case", range(24))
 def test_forest_bits_match_reference_small(case):
     _assert_bits_match_reference(*_bit_pin_case(case))
+
+
+def test_forest_bits_match_reference_with_tied_and_untied_latents():
+    """The presort is not stable: a latent of distinct values has one sorted order, and a tied latent's
+    thresholds fall only between distinct values. Both kinds, in every tree, must give the bits of the
+    reference, which sorts each node stably."""
+    rng = np.random.default_rng(61)
+    n = 400
+    latents = np.column_stack([rng.standard_normal(n), np.round(rng.standard_normal(n), 1),
+                               rng.integers(0, 5, n).astype(float), rng.uniform(-1, 1, n),
+                               rng.integers(0, 3, n).astype(float)])
+    latents[(latents[:, 4] == 0) & (rng.random(n) < 0.5), 4] = -0.0  # signed zeros tie
+    factors = np.column_stack([latents @ rng.standard_normal(5) + 0.2 * rng.standard_normal(n),
+                               np.digitize(latents[:, 1], [-0.5, 0.5])])
+    dataset = RepresentationDataset(factors, latents, cardinalities=(None, 3))
+    config = ForestConfig(n_trees=6, max_depth=5, bag_fraction=0.7, seed=4)
+    bag = round(config.bag_fraction * n)
+    for t in range(config.n_trees):
+        x = latents[np.random.default_rng([config.seed, t]).choice(n, size=bag, replace=False)]
+        distinct = [np.unique(c).size == bag for c in x.T]
+        assert distinct == [True, False, False, True, False]
+    _assert_bits_match_reference(dataset, config)
 
 
 def test_forest_bits_match_reference_entangled():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -228,6 +229,39 @@ def test_build_rejects_parameters_the_generator_does_not_read(name, params, mess
 def test_build_rejects_a_non_integral_integer_parameter(name, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synth.build(GeneratorSpec(name, params, n=50))
+
+
+@pytest.mark.parametrize("name, params, n, message", [
+    ("identity", {"K": 0}, 50, "identity parameter K must be at least 1, got 0"),
+    ("noise", {"N": -2}, 50, "noise parameter N must be at least 1, got -2"),
+    ("entangled", {"K": 0.0}, 50, "entangled parameter K must be at least 1, got 0"),
+    ("sap-nonlinear", {}, 0, "sap-nonlinear parameter n must be at least 1, got 0"),
+    ("identity", {}, -3, "identity parameter n must be at least 1, got -3"),
+    ("disentangled", {"noise_std": -0.5}, 50, "disentangled parameter noise_std must be finite and non-negative, got -0.5"),
+    ("disentangled", {"noise_std": float("inf")}, 50,
+     "disentangled parameter noise_std must be finite and non-negative, got inf"),
+    ("disentangled", {"noise_std": float("nan")}, 50,
+     "disentangled parameter noise_std must be finite and non-negative, got nan"),
+    ("entangled", {"level": 1.5}, 50, "entangled parameter level must lie in [0, 1], got 1.5"),
+    ("entangled", {"level": -1}, 50, "entangled parameter level must lie in [0, 1], got -1.0"),
+    ("entangled", {"level": float("nan")}, 50, "entangled parameter level must lie in [0, 1], got nan"),
+])
+def test_build_rejects_a_parameter_out_of_range(name, params, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.build(GeneratorSpec(name, params, n=n))
+
+
+def test_build_accepts_the_ends_of_each_range():
+    for name, params in (("identity", {"K": 1}), ("noise", {"K": 1, "N": 1}), ("disentangled", {"noise_std": 0}),
+                         ("entangled", {"level": 0}), ("entangled", {"level": 1.0})):
+        synth.dataset_from_spec(GeneratorSpec(name, params, n=1))
+
+
+def test_parse_spec_string_reads_nan_and_inf_as_floats():
+    spec = parse_spec_string("disentangled:noise_std=inf,K=3")
+    assert spec.params["noise_std"] == float("inf") and spec.params["K"] == 3 and type(spec.params["K"]) is int
+    assert math.isnan(parse_spec_string("entangled:level=nan").params["level"])
+    assert parse_spec_string("entangled:level=-inf,K=2e0").params == {"level": float("-inf"), "K": 2.0}
 
 
 def test_build_casts_each_parameter_to_its_declared_type():
