@@ -63,6 +63,10 @@ class PopulationResult:
         }
 
 
+def _is_matrix(rep):
+    return isinstance(rep, InformativenessMatrix) or (isinstance(rep, str) and rep.endswith(".matrix"))
+
+
 def _resolve_representation(rep):
     if isinstance(rep, (RepresentationDataset, InformativenessMatrix)):
         return rep
@@ -71,7 +75,7 @@ def _resolve_representation(rep):
     if isinstance(rep, str):
         from .core import load_dataset, load_matrix
 
-        return load_matrix(rep) if rep.endswith(".matrix") else load_dataset(rep)
+        return load_matrix(rep) if _is_matrix(rep) else load_dataset(rep)
     raise TypeError(f"cannot interpret representation {rep!r}")
 
 
@@ -96,11 +100,9 @@ def correlate_metrics(population, metrics=None, binning=BinningSpec(), importanc
     selection = list(metrics) if metrics is not None else list(metrics_mod.DATASET_METRICS)
     labels = [_rep_label(rep, i) for i, rep in enumerate(population)]
     columns = []
-    for rep in population:
-        dataset = _resolve_representation(rep)
-        reports = metrics_mod.evaluate_all(
-            dataset, metrics=selection, binning=binning, importance_method=importance_method,
-        )
+    for rep in population:  # each resolved representation is released once it is scored
+        reports = metrics_mod.evaluate_all(_resolve_representation(rep), metrics=selection, binning=binning,
+                                           importance_method=importance_method)
         columns.append({r.metric: r for r in reports})
 
     kept = []
@@ -153,14 +155,14 @@ def compare(rep_a, rep_b, metrics=None, labels=("a", "b"), binning=BinningSpec()
     """Score two representations under each metric and flag every metric
     pair that prefers opposite representations. Exactly equal scores yield
     no preference. Two matrices default to the matrix metrics, any other
-    pair to the dataset metrics."""
-    reps = [_resolve_representation(rep_a), _resolve_representation(rep_b)]
+    pair to the dataset metrics. Each representation is resolved, scored
+    and released before the next is resolved."""
     if metrics is None:
-        both_matrices = all(isinstance(rep, InformativenessMatrix) for rep in reps)
+        both_matrices = _is_matrix(rep_a) and _is_matrix(rep_b)
         metrics = list(metrics_mod.MATRIX_METRICS if both_matrices else metrics_mod.DATASET_METRICS)
     columns = []
-    for rep in reps:
-        reports = metrics_mod.evaluate_all(rep, metrics=metrics, binning=binning)
+    for rep in (rep_a, rep_b):
+        reports = metrics_mod.evaluate_all(_resolve_representation(rep), metrics=metrics, binning=binning)
         for r in reports:
             if r.skipped:
                 raise NotComputableError(f"metric {r.metric!r}: {r.skip_reason}")

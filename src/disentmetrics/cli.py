@@ -306,6 +306,9 @@ def main(argv=None):
     except (MetricsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an input too large for this machine; outputs are written atomically
+        print(f"error: {args.command}: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -122,9 +122,10 @@ class RepresentationDataset:
             raise ValueError("discrete factor needs cardinality >= 1")
 
     @classmethod
-    def _adopt(cls, factors, latents, factor_names, latent_names, cardinalities):
-        """For loaders: the dataset over two fresh C-ordered float64 arrays
-        that nothing else references, frozen in place instead of copied."""
+    def _adopt(cls, factors, latents, factor_names=None, latent_names=None, cardinalities=None):
+        """For loaders and generators: the dataset over two fresh C-ordered
+        float64 arrays that nothing else references, frozen in place instead
+        of copied."""
         dataset = object.__new__(cls)
         for f, value in zip(fields(cls), (factors, latents, factor_names, latent_names, cardinalities)):
             object.__setattr__(dataset, f.name, value)
@@ -167,6 +168,8 @@ class ValidationIssue:
 
 def _non_finite(names, finite):
     """One issue per False entry of the (rows, columns) mask, column by column."""
+    if finite.all():  # the common case: no transposed mask to search
+        return []
     return [ValidationIssue(names[j], int(r) + 1, "non-finite value") for j, r in zip(*np.nonzero(~finite.T))]
 
 
@@ -377,33 +380,26 @@ def load_dataset(path, schema=None):
     if isinstance(schema, (str, os.PathLike)):
         schema = load_schema(schema)
     try:
-        names, roles, order, tables = _read_table(path, schema)
+        factors, latents, cardinalities, z, c = _read_table(path, schema)
     except UnicodeDecodeError:
         line = _first_undecodable_line(path)
         if line == 1:
             raise ParseError("the header row is not UTF-8 text") from None
         raise ParseError(f"row {line - 1} is not UTF-8 text", row=line - 1) from None
-
-    factors = [name for name in order if roles[name][0] == "factor"]
-    latents = [name for name in order if roles[name][0] == "latent"]
-    n = sum(len(table) for table in tables)
-    z, c = np.empty((n, len(factors))), np.empty((n, len(latents)))
-    row = 0
-    while tables:  # each table is copied into place and dropped: no concatenated table is ever held
-        table = tables.pop(0)
-        for columns, out in ((factors, z), (latents, c)):  # "clip": an in-range take into out needs no buffer
-            table.take([names.index(name) for name in columns], axis=1, out=out[row:row + len(table)], mode="clip")
-        row += len(table)
-    dataset = RepresentationDataset._adopt(z, c, factors, latents, [roles[name][1] for name in factors])
+    dataset = RepresentationDataset._adopt(z, c, factors, latents, cardinalities)
     issues = validate(dataset)
     if issues:
         raise ValidationError(issues)
     return dataset
 
 
+# The most data rows one loadtxt call parses: a load holds Z, C and one piece this
+# long (160 KiB at 20 columns), and a forked block sends its rows in pieces this long.
+_PIECE_ROWS = 1024
+
+
 def _read_table(path, schema):
-    """(header names, name -> role, column order, float64 tables of the data
-    rows in file order) of a CSV dataset."""
+    """(factor names, latent names, cardinalities, Z, C) of a CSV dataset."""
     with open(path, newline="", encoding="utf-8") as fh:
         header_lines = []
         try:
@@ -427,54 +423,87 @@ def _read_table(path, schema):
         else:
             roles = dict(parsed)
             order = names
+        factors = [name for name in order if roles[name][0] == "factor"]
+        latents = [name for name in order if roles[name][0] == "latent"]
+        takes = [[names.index(name) for name in columns] for columns in (factors, latents)]
 
         start = len("".join(header_lines).encode("utf-8"))
         try:  # a ValueError (UnicodeDecodeError included), here or in a child, is a fault
-            if os.path.isfile(path) and _splits_at_line_feeds(path, start):
+            rows = _data_lines(path, start) if os.path.isfile(path) else None
+            if rows is not None:  # Z and C first, then each piece copied into place as it arrives
                 size = os.path.getsize(path)
                 with contextlib.closing(_in_blocks(lambda offsets: _parse_range(path, start, size, offsets),
-                                                   size - start, (size - start) // 32)) as blocks:
-                    tables = list(blocks)
-            else:  # read on from the header, in one block
-                tables = _parse_rows(fh)
+                                                   size - start, (size - start) // 32)) as pieces:
+                    z, c = _filled(pieces, rows, takes, len(names))
+            else:  # read on from the header in one piece, then copy it
+                pieces = list(_parse_rows(fh, None, None))
+                z, c = _filled(pieces, sum(map(len, pieces)), takes, len(names))
         except ValueError:
-            tables = None
-    if tables is None or any(table.shape[1] != len(names) for table in tables):
+            z = c = None
+    if z is None:
         _raise_first_fault(path, names)
-    return names, roles, order, tables
+    return factors, latents, [roles[name][1] for name in factors], z, c
 
 
-def _splits_at_line_feeds(path, start):
-    """True if the bytes from ``start`` on hold no quote and no CR: no cell spans a cut at a LF."""
+def _data_lines(path, start):
+    """The number of lines from byte ``start`` on (the last needs no LF), or None if those
+    bytes hold a quote or a CR: a cell may then span a cut at a LF."""
+    lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         fh.seek(start)
-        return all(b'"' not in chunk and b"\r" not in chunk for chunk in iter(lambda: fh.read(2**20), b""))
+        for chunk in iter(lambda: fh.read(2**16), b""):
+            if b'"' in chunk or b"\r" in chunk:
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _filled(pieces, rows, takes, width):
+    """(Z, C) of ``rows`` rows: columns ``takes[0]`` and ``takes[1]`` of each piece, copied
+    into place as it arrives; ValueError if the pieces are not ``rows`` rows of ``width`` cells."""
+    z, c = (np.empty((rows, len(take))) for take in takes)
+    row = 0
+    for piece in pieces:
+        end = row + len(piece)
+        if piece.shape[1] != width or end > rows:
+            raise ValueError("the rows do not match the header or the line count")
+        for take, out in zip(takes, (z, c)):  # "clip": an in-range take into out needs no buffer
+            piece.take(take, axis=1, out=out[row:end], mode="clip")
+        row = end
+    if row != rows:
+        raise ValueError("fewer rows than lines")
+    return z, c
 
 
 def _parse_range(path, start, size, offsets):
-    """:func:`_parse_rows` on the data bytes ``offsets`` (from byte ``start`` of a
+    """:func:`_parse_rows` in pieces on the data bytes ``offsets`` (from byte ``start`` of a
     ``size``-byte file), each inner end moved on to the first line start at or after it."""
     with open(path, "rb") as fh:
         lo, hi = (start + x if x in (0, size - start) else fh.seek(start + x - 1) + len(fh.readline())
                   for x in (offsets.start, offsets.stop))
         fh.seek(lo)
-        rows = None if hi == size else sum(fh.read(min(2**20, hi - at)).count(b"\n") for at in range(lo, hi, 2**20))
+        rows = None if hi == size else sum(fh.read(min(2**16, hi - at)).count(b"\n") for at in range(lo, hi, 2**16))
         fh.seek(lo)
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-            return _parse_rows(text, rows)
+            yield from _parse_rows(text, rows, _PIECE_ROWS)
 
 
-def _parse_rows(text, rows=None):
-    """The first ``rows`` lines of ``text`` (all if None) as at most one float64 table, from
-    the one loadtxt call of every load; a blank line, which loadtxt skips, is a fault."""
-    blank = []
-    lines = (line for line in itertools.islice(text, rows) if line.strip("\r\n") or blank.append(line))
-    first = next(lines, None)
-    tables = [np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"', comments=None,
-                         dtype=np.float64, ndmin=2)] if first else []
-    if blank:
-        raise ValueError("blank line")
-    return tables
+def _parse_rows(text, rows, piece):
+    """Float64 tables of the first ``rows`` lines of ``text`` (all if None), one loadtxt call
+    per ``piece`` lines (all in one if None); a blank line, which loadtxt skips, is a fault."""
+    lines = itertools.islice(text, rows)
+    while True:
+        blank = []
+        kept = (line for line in itertools.islice(lines, piece) if line.strip("\r\n") or blank.append(line))
+        first = next(kept, None)
+        if first is not None:  # never an empty iterator: loadtxt warns on one
+            yield np.loadtxt(itertools.chain([first], kept), delimiter=",", quotechar='"', comments=None,
+                             dtype=np.float64, ndmin=2)
+        if blank:
+            raise ValueError("blank line")
+        if first is None:
+            return
 
 
 def _raise_first_fault(path, names):
@@ -652,7 +681,12 @@ class RepresentationOracle:
         return z, self.encode(z)
 
     def sample_dataset(self, n):
-        """Materialize a dataset of n marginal samples (factors z1.., latents c1..)."""
+        """Materialize a dataset of n marginal samples (factors z1.., latents c1..).
+
+        Unlike the generators' datasets, this one copies the sampled arrays:
+        the sampler and the encoder are the caller's, and may keep a reference
+        to what they return and change it later, or return one array twice
+        (an encoder that returns its input)."""
         return RepresentationDataset(*self.sample(n))
 
 

@@ -144,12 +144,13 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
     I[i, j] = H(z_j) exactly, and no entry may exceed it by more than 1e-9
     (``ValueError`` otherwise: a fault in the estimator, not in the data).
     """
-    factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
-    # each column is coded once, not once per pair it takes part in
-    factor_codes = [_coded(encode_factor(z, card, spec)) for z, card in zip(factors, dataset.cardinalities)]
-    latent_codes = [_coded(discretize(c, spec)) for c in latents]
-    values = np.zeros((len(latent_codes), len(factor_codes)))
-    for i, a in enumerate(latent_codes):
+    # each column is coded once, not once per pair it takes part in: the factors' codes
+    # first, then one latent column at a time, each from a contiguous copy of the column
+    factor_codes = [_coded(encode_factor(np.ascontiguousarray(dataset.factors[:, j]), card, spec))
+                    for j, card in enumerate(dataset.cardinalities)]
+    values = np.zeros((dataset.n_latents, len(factor_codes)))
+    for i in range(dataset.n_latents):
+        a = _coded(discretize(np.ascontiguousarray(dataset.latents[:, i]), spec))
         for j, b in enumerate(factor_codes):
             values[i, j] = _mutual_information(a, b)
     entropies = np.array([_entropy(*b) for b in factor_codes])

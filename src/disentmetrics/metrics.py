@@ -317,15 +317,18 @@ def sap_score(dataset):
     if dataset.n < 2:
         raise NotComputableError("needs at least 2 samples")
     scores = np.zeros((dataset.n_latents, dataset.n_factors))
-    # contiguous rows (strided views slow the R^2 sums), centred once each rather than once per pair
-    factors, latents = (np.ascontiguousarray(m.T) for m in (dataset.factors, dataset.latents))
-    centred_latents = [estimators.centred(c) for c in latents]
-    for j, card in enumerate(dataset.cardinalities):
-        if card is not None:
-            scores[:, j] = [estimators.stump_accuracy(c, factors[j]) for c in latents]
-        else:
-            z = estimators.centred(factors[j])
-            scores[:, j] = [estimators.centred_r2(c, z) for c in centred_latents]
+    # contiguous column copies (strided views slow the R^2 sums), each centred once rather than
+    # once per pair: every factor first, then one latent at a time
+    cards = dataset.cardinalities
+    factors = []
+    for j, card in enumerate(cards):
+        z = np.ascontiguousarray(dataset.factors[:, j])
+        factors.append(z if card is not None else estimators.centred(z))
+    for i in range(dataset.n_latents):
+        c = np.ascontiguousarray(dataset.latents[:, i])
+        centred_c = estimators.centred(c)
+        scores[i] = [estimators.stump_accuracy(c, z) if card is not None else estimators.centred_r2(centred_c, z)
+                     for z, card in zip(factors, cards)]
     return _factor_gap_report("sap", scores, 1.0, informativeness=scores)
 
 

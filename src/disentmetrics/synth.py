@@ -112,7 +112,7 @@ def gen_sap_nonlinear(n=10000, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=(n, 2))
     c = z**15
-    return RepresentationDataset(z, c)
+    return RepresentationDataset._adopt(z, c)
 
 
 def gen_sap_duplicate(n=10000, seed=DEFAULT_SEED):
@@ -122,7 +122,7 @@ def gen_sap_duplicate(n=10000, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=(n, 2))
     c = np.column_stack([z[:, 0], z[:, 0] ** 25 + z[:, 1] ** 25, z[:, 1]])
-    return RepresentationDataset(z, c)
+    return RepresentationDataset._adopt(z, c)
 
 
 DCI_MATRIX_CASES = ("eleven_factor", "two_factor")
@@ -171,11 +171,11 @@ def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_factors)
     z = rng.uniform(-1.0, 1.0, size=(n, n_factors))
-    mapped = z[:, perm]
+    mapped = z.take(perm, axis=1)  # C-ordered, so the dataset adopts it without a copy
     if map_kind == "cubic":
         mapped = mapped**3
     c = mapped + noise_std * rng.standard_normal(size=mapped.shape) if noise_std > 0 else mapped
-    dataset = RepresentationDataset(z, c)
+    dataset = RepresentationDataset._adopt(z, c)
     if return_info:
         return dataset, {"permutation": perm.tolist(), "map_kind": map_kind, "noise_std": noise_std}
     return dataset
@@ -201,7 +201,7 @@ def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_
     mixing = (1.0 - level) * p + level * q
     z = rng.uniform(-1.0, 1.0, size=(n, n_factors))
     c = z @ mixing.T
-    dataset = RepresentationDataset(z, c)
+    dataset = RepresentationDataset._adopt(z, c)
     if return_info:
         return dataset, {"permutation": perm.tolist(), "mixing": mixing.tolist(), "level": level}
     return dataset

@@ -122,6 +122,22 @@ def test_gen_rejects_a_parameter_out_of_range(tmp_path, capsys, spec, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.45 TiB for an array with shape (100000000, 10000)",
+     " (Unable to allocate 7.45 TiB for an array with shape (100000000, 10000))"),
+    ("", ""),
+])
+def test_gen_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message, shown):
+    def no_memory(*args, **kwargs):  # raised as numpy would, without allocating
+        raise MemoryError(message)
+
+    monkeypatch.setattr(synth, "gen_entangled_family", no_memory)
+    code, out, err = run(["gen", "--spec", "entangled:K=100000000", "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: gen: out of memory{shown}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_unknown_case_lists_registry(capsys):
     code, _, err = run(["reproduce", "nosuch"], capsys)
     assert code == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import disentmetrics
-from disentmetrics import core, synth
+from disentmetrics import analysis, core, estimators, metrics, synth
 from disentmetrics.core import (
     InformativenessMatrix,
     MetricReport,
@@ -271,19 +271,72 @@ def _traced_peak_mib(fn):
         tracemalloc.stop()
 
 
-def test_csv_save_and_load_peaks_stay_bounded(tmp_path):
-    # the 8 MB file of the dataset-files benchmark: 20 columns of 20000 rows
-    spec = synth.parse_spec_string("entangled:K=10,level=0.5", seed=5, n=20000)
-    ds = synth.dataset_from_spec(spec)[0]
+# --- Traced peaks on the 20000 x 20 dataset of the dataset-files benchmark ------
+# Each bound is a multiple of the dataset's bytes (Z and C: 3.05 MiB): the peak
+# measured with numpy 2.4 on Python 3.11, plus the stated margin. Each is checked
+# with the CSV load in one process and forked into two.
+
+
+def _big_dataset(level=0.5, seed=5):
+    return synth.dataset_from_spec(synth.parse_spec_string(f"entangled:K=10,level={level}", seed=seed, n=20000))[0]
+
+
+def _data_mib(ds):
+    return (ds.factors.nbytes + ds.latents.nbytes) / 2**20
+
+
+def _check_csv_peaks(tmp_path):
+    ds = _big_dataset()
     path = str(tmp_path / "big.csv")
-    assert _traced_peak_mib(lambda: save_dataset(ds, path)) <= 6.0
+    # 256 formatted rows at a time: measured 0.13 x the data
+    assert _traced_peak_mib(lambda: save_dataset(ds, path)) <= 0.25 * _data_mib(ds)
     assert os.path.getsize(path) > 7_000_000
-    assert _traced_peak_mib(lambda: load_dataset(path)) <= 7.0
+    # Z, C and one piece of core._PIECE_ROWS rows (0.05 x) with its pickle and the
+    # parser's buffers: measured 1.13 (one process) and 1.16 (forked) x the data
+    assert _traced_peak_mib(lambda: load_dataset(path)) <= 1.25 * _data_mib(ds)
+
+
+def test_csv_save_and_load_peaks_stay_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    _check_csv_peaks(tmp_path)
 
 
 def test_csv_save_and_load_peaks_stay_bounded_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-    test_csv_save_and_load_peaks_stay_bounded(tmp_path)
+    _check_csv_peaks(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    """The big dataset, saved, and a second one of another level and seed."""
+    ds, paths = _big_dataset(), [str(tmp_path_factory.mktemp("big") / name) for name in ("a.csv", "b.csv")]
+    save_dataset(ds, paths[0])
+    save_dataset(_big_dataset(0.25, 6), paths[1])
+    return ds, paths
+
+
+# layer -> (its call on the big dataset and files, bound in multiples of the data's bytes)
+_LAYER_PEAKS = {
+    # the two finite masks (1/8 each, no transposed copy): measured 0.125
+    "validate": (lambda ds, paths: core.validate(ds), 0.15),
+    # the factors' int64 codes (0.5) and one latent's codes: measured 0.66
+    "informativeness_from_mi": (lambda ds, paths: estimators.informativeness_from_mi(ds), 0.75),
+    # the factors' centred columns (0.5) and one latent's: measured 0.80
+    "sap_score": (lambda ds, paths: metrics.sap_score(ds), 0.9),
+    # Z and C, adopted without a copy: measured 1.00
+    "dataset_from_spec": (lambda ds, paths: _big_dataset(), 1.1),
+    # one loaded dataset and its scores at a time (two datasets alone are 2.0): measured 1.81
+    "compare": (lambda ds, paths: analysis.compare(*paths, metrics=["mig", "3charm", "sap"]), 1.9),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layer", list(_LAYER_PEAKS))
+def test_layer_peaks_stay_bounded(big_files, monkeypatch, layer, workers):
+    ds, paths = big_files
+    call, bound = _LAYER_PEAKS[layer]
+    monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+    assert _traced_peak_mib(lambda: call(ds, paths)) <= bound * _data_mib(ds)
 
 
 # --- CSV save and load on every usable CPU --------------------------------------
@@ -438,7 +491,8 @@ def _load_outcome(path):
 
 # Each CSV contract case after 3000 good rows, so that at 2 and 3 workers its
 # fault sits in a child's range (quoted and CR files are parsed in one block),
-# with a part of the serial outcome that the case must show.
+# with a part of the outcome of one loadtxt call over the file that the case
+# must show at any worker count and piece size.
 _CONTRACT_CASES = {
     "bad cell": (b"oops,3\n0,1\n", "non-numeric cell 'oops' at row 3001, column z"),
     "empty cell": (b"1,\n0,1\n", "non-numeric cell '' at row 3001, column c"),
@@ -458,6 +512,9 @@ _CONTRACT_CASES = {
     "non-ascii digit": ("\u0661,2\n0,1\n".encode(), "at row 3001, column z"),
     "nan": (b"nan,2\n0,1\n", "row 3001"),
     "no final line feed": (b"1,2\n3,4", "loaded"),
+    "rows not a multiple of the piece size": (b"1,2\n" * 4, "loaded"),
+    "blank line mid-block": (b"\n" + b"0,1\n" * 1000, "row 3001 has 0 cells"),
+    "non-utf8 row mid-block": (b"\xff,2\n" + b"0,1\n" * 1000, "row 3001 is not UTF-8 text"),
 }
 
 
@@ -467,13 +524,18 @@ def test_csv_contract_holds_on_any_worker_count(tmp_path, monkeypatch, case, wor
     body, shown = _CONTRACT_CASES[case]
     path = tmp_path / "d.csv"
     path.write_bytes(b"z:c,c\n" + b"0,1\n" * 3000 + body)
+    pieces = core._PIECE_ROWS
     _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(core, "_PIECE_ROWS", 10**9)  # the file in one loadtxt call
     serial = _load_outcome(str(path))
     assert shown in str(serial[:2])
     _force_workers(monkeypatch, workers)
     seen = _count_forks(monkeypatch)
-    assert _load_outcome(str(path)) == serial
-    assert seen == ([] if b'"' in body or b"\r" in body else [workers])
+    # 7-row pieces: every block in many, the last one short and each fault in a later one
+    for piece_rows in (pieces, 7):
+        monkeypatch.setattr(core, "_PIECE_ROWS", piece_rows)
+        assert _load_outcome(str(path)) == serial
+    assert seen == ([] if b'"' in body or b"\r" in body else [workers] * 2)
 
 
 _LEAK_CHECK = """
