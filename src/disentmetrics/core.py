@@ -210,9 +210,10 @@ def validate(dataset):
 # ---------------------------------------------------------------------------
 
 # The least serial work (microseconds) worth a block: twice a fork round trip
-# (fork, pipe message, join), 4.3-5.1 ms p10-p90 from a 52 MiB process on a 2-CPU
-# x86-64 host, Python 3.11. Callers' units cost at least 1 us there: a forest tree x
-# target x bagged row 1.7-48 us (most for small bags), a saved value 1.4, 32 loaded bytes 0.9.
+# (fork, pipe message, join), 2.8-4.5 ms p10-p90 from a 53 MiB process on a 2-CPU
+# x86-64 host, Python 3.11. Callers' units cost about 1 us there: a forest tree x target
+# x bagged row 0.6-0.7 us at n=2000, K=4 and 4.6-7.5 us at n=150, K=3 (more for smaller
+# bags), a saved value 1.4, 32 loaded bytes 0.9.
 _BLOCK_MIN_WORK = 10_000
 
 

@@ -350,9 +350,14 @@ def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
     within a run of tied values, and the sort need not be stable.
     Latents tying on the best gain are grouped by their left row sets; the
     group with the smallest sorted row ids is split on and shares the gain,
-    so the tree does not depend on the order of the latent columns."""
+    so the tree does not depend on the order of the latent columns.
+    The prefix sums are ``np.add.accumulate`` (the int64 sums of ``cumsum``)
+    and m - l is read from a reversed view of the left sizes, so every gain
+    has the bits of the formula. A node's children are taken from the flat,
+    C-ordered rows (and tied values) by ``compress`` with the left mark and
+    its inverse, which keeps each latent's order, and reshaped to (N, size)."""
     n_latents = order.shape[0]
-    latent_ids, lefts = np.arange(n_latents), np.arange(1, q.size)
+    lefts = np.arange(1, q.size)
     in_left = np.zeros(q.size, dtype=bool)
     stack = [(order, vals, 0)]
     while stack:
@@ -360,17 +365,16 @@ def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
         m = sorted_rows.shape[1]
         if depth >= max_depth or m < 2:
             continue
-        c = np.cumsum(q[sorted_rows], axis=1)
+        c = np.add.accumulate(q[sorted_rows], axis=1)
         left = lefts[:m - 1]
         d = c[:, :-1] * m
         d -= c[0, -1] * left
         gains = d.astype(np.float64)
         gains *= gains
-        gains /= left * (m - left) * float(m)
+        gains /= left * lefts[m - 2::-1] * float(m)
         if tied.size:
             gains[tied] *= vals[:, 1:] > vals[:, :-1]  # thresholds between distinct values
-        pos = gains.argmax(axis=1)
-        best = gains[latent_ids, pos].tolist()
+        best = gains.max(axis=1).tolist()
         gain = max(best)
         if gain <= 0.0:
             continue
@@ -378,19 +382,19 @@ def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
         if len(feats) > 1:
             groups = {}
             for f in feats:
-                groups.setdefault(tuple(np.sort(sorted_rows[f, :pos[f] + 1]).tolist()), []).append(f)
+                groups.setdefault(tuple(np.sort(sorted_rows[f, :gains[f].argmax() + 1]).tolist()), []).append(f)
             feats = min(groups.items())[1]
         credited.extend(feats)
         shares.extend([gain / len(feats)] * len(feats))
         if depth + 1 >= max_depth:
             continue
-        n_left = int(pos[feats[0]]) + 1
+        n_left = int(gains[feats[0]].argmax()) + 1
         in_left[sorted_rows[feats[0], :n_left]] = True
         mark = in_left[sorted_rows]
         in_left[sorted_rows[feats[0], :n_left]] = False
         for side, size in ((mark, n_left), (~mark, m - n_left)):
-            side_vals = vals[side[tied]].reshape(tied.size, size) if tied.size else vals
-            stack.append((sorted_rows[side].reshape(n_latents, size), side_vals, depth + 1))
+            side_vals = vals.ravel().compress(side[tied].ravel()).reshape(tied.size, size) if tied.size else vals
+            stack.append((sorted_rows.ravel().compress(side.ravel()).reshape(n_latents, size), side_vals, depth + 1))
 
 
 def _quantized(target, bag):

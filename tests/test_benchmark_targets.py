@@ -10,10 +10,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disentmetrics.core import RepresentationDataset, RepresentationOracle
-from disentmetrics.estimators import ClassifierConfig
+from disentmetrics.estimators import ClassifierConfig, ForestConfig, LassoConfig, importance_matrix_from_dataset
 from disentmetrics.metrics import InterventionConfig, beta_vae_score, factor_vae_score
 
 
@@ -37,6 +38,29 @@ def test_dataset_accessors_and_classifier_epochs_exist():
     assert callable(RepresentationDataset.factor_matrix)
     assert callable(RepresentationDataset.latent_matrix)
     assert isinstance(ClassifierConfig().epochs, int)
+
+
+@pytest.mark.parametrize("method, config", [("forest", ForestConfig(n_trees=3, max_depth=3)),
+                                            ("lasso", LassoConfig())])
+def test_importance_fits_read_the_latents_once(monkeypatch, method, config):
+    """The harness calls ``importance_matrix_from_dataset(dataset, method, config)``,
+    reads its ``(matrix, masses)``, and counts ``RepresentationDataset.latent_matrix``
+    calls as forest fits: one per fit, for either method."""
+    assert list(inspect.signature(importance_matrix_from_dataset).parameters) == ["dataset", "method", "config"]
+    calls = []
+    latent_matrix = RepresentationDataset.latent_matrix
+
+    def counted(self):
+        calls.append(self)
+        return latent_matrix(self)
+
+    monkeypatch.setattr(RepresentationDataset, "latent_matrix", counted)
+    rng = np.random.default_rng(3)
+    latents = rng.standard_normal((60, 3))
+    dataset = RepresentationDataset(latents[:, :2] + 0.1 * rng.standard_normal((60, 2)), latents)
+    matrix, masses = importance_matrix_from_dataset(dataset, method, config)
+    assert calls == [dataset]
+    assert matrix.shape == (3, 2) and masses.shape == (2,)
 
 
 @pytest.mark.parametrize("scorer, sample_calls", [(beta_vae_score, 0), (factor_vae_score, 1)])

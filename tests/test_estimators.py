@@ -665,12 +665,16 @@ def _bit_pin_case(i):
     return RepresentationDataset(np.column_stack(factors), latents, cardinalities=cards), config
 
 
-def _assert_bits_match_reference(dataset, config):
-    matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
-    ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
+def _assert_same_bits(values, ref):
+    (matrix, masses), (ref_matrix, ref_masses) = values, ref
     assert matrix.shape == ref_matrix.shape
     assert np.array_equal(matrix.view(np.uint64), ref_matrix.view(np.uint64))
     assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
+
+
+def _assert_bits_match_reference(dataset, config):
+    values = importance_matrix_from_dataset(dataset, "forest", config)
+    _assert_same_bits(values, _ref_importance_matrix(dataset, config))
 
 
 @pytest.mark.parametrize("case", range(24))
@@ -700,9 +704,46 @@ def test_forest_bits_match_reference_with_tied_and_untied_latents():
     _assert_bits_match_reference(dataset, config)
 
 
-def test_forest_bits_match_reference_entangled():
+def _edge_case(name):
+    """A small dataset and forest config for one edge of the node loop."""
+    rng = np.random.default_rng(808)
+    if name == "constant latent":
+        n = 200
+        varying = rng.standard_normal((n, 3))
+        latents = np.column_stack([varying[:, 0], np.full(n, 0.5), varying[:, 1:]])
+        factors = latents @ [1.0, 0.0, -0.5, 0.3] + 0.2 * rng.standard_normal(n)
+        config = ForestConfig(n_trees=4, max_depth=4, seed=1)
+    elif name == "every latent tied":  # about 120 of a depth-7 tree's 127 splits: tied values split at every depth
+        n = 600
+        latents = rng.integers(0, 6, (n, 4)).astype(float)
+        factors = np.column_stack([latents @ rng.standard_normal(4) + 0.5 * rng.standard_normal(n),
+                                   np.round(latents[:, 1] - latents[:, 3] + rng.standard_normal(n), 1)])
+        config = ForestConfig(n_trees=3, max_depth=7, seed=2)
+    elif name in ("bag of 2", "bag of 3"):  # children of one row
+        n = int(name[-1])
+        latents = rng.standard_normal((n, 2))
+        factors = np.column_stack([latents[:, 0] + latents[:, 1], latents[:, 1]])
+        config = ForestConfig(n_trees=3, max_depth=3, bag_fraction=1.0, seed=3)
+    else:  # one latent
+        n = 120
+        latents = rng.standard_normal((n, 1))
+        factors = np.sin(3 * latents[:, 0]) + 0.1 * rng.standard_normal(n)
+        config = ForestConfig(n_trees=4, max_depth=4, seed=4)
+    return RepresentationDataset(factors.reshape(n, -1), latents), config
+
+
+@pytest.mark.parametrize("name", ["constant latent", "every latent tied", "bag of 2", "bag of 3", "one latent"])
+def test_forest_bits_match_reference_at_the_edges_of_the_node_loop(name):
+    _assert_bits_match_reference(*_edge_case(name))
+
+
+def test_forest_bits_match_reference_entangled(monkeypatch):
+    """The `population` shape, in one process and forked into 2 blocks."""
     dataset = synth.gen_entangled_family(0.5, n_factors=4, n=2000, seed=131)
-    _assert_bits_match_reference(dataset, ForestConfig())
+    ref = _ref_importance_matrix(dataset, ForestConfig())
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        _assert_same_bits(importance_matrix_from_dataset(dataset, "forest", ForestConfig()), ref)
 
 
 # --- the previous forest, as a tolerance reference ---------------------------
@@ -793,10 +834,7 @@ def test_forest_bits_do_not_depend_on_the_worker_count(monkeypatch, workers, n_t
     _force_workers(monkeypatch, workers)
     dataset = _fan_out_case()
     config = ForestConfig(n_trees=n_trees, max_depth=4, seed=9)
-    matrix, masses = importance_matrix_from_dataset(dataset, "forest", config)
-    ref_matrix, ref_masses = _ref_importance_matrix(dataset, config)
-    assert np.array_equal(matrix.view(np.uint64), ref_matrix.view(np.uint64))
-    assert np.array_equal(np.asarray(masses).view(np.uint64), ref_masses.view(np.uint64))
+    _assert_bits_match_reference(dataset, config)
 
 
 def test_blocks_are_contiguous_and_run_in_forked_children(monkeypatch):
