@@ -247,34 +247,38 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     Zero-initialized, so fully deterministic for a fixed config.
     """
     x = np.asarray(points, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64)
+    y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise ValueError("points must be (n, D) with one label per row")
     if not np.isfinite(x).all():
         raise ValueError("points must be finite")
+    if y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all():
+        raise ValueError("labels must be integers")
+    y = y.astype(np.int64)
+    if (y < 0).any():
+        raise ValueError("labels must be non-negative")
     if np.unique(y).size < 2:
         raise DegenerateLabelsError("need at least two classes to fit a classifier")
     n, d = x.shape
     n_classes = int(y.max()) + 1
     xb = np.hstack([x, np.ones((n, 1))])
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    w = np.zeros((n_classes, d + 1))
+    onehot = np.zeros((n_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    w_t = np.zeros((d + 1, n_classes))  # the weights, transposed
+    scores = np.empty((n_classes, n))
     for _ in range(config.epochs):
-        # a contiguous right operand: the same bits as xb @ w.T, in a third of the time
-        scores = xb @ np.ascontiguousarray(w.T)
-        # row max and row sum as folds over the class columns, since an axis-1
-        # reduce of C-wide rows runs one short inner loop per row; numpy adds
-        # fewer than 8 values in order, as the fold does, and 8 or more pairwise.
-        # Both are applied through the (C, n) view, not as an (n, 1) broadcast.
-        columns = scores.T
-        columns -= functools.reduce(np.maximum, columns)
+        # the softmax runs on one C-contiguous (C, n) block, filled through its
+        # transposed view and drained by xb.T @ scores.T: the bits of the (n, C)
+        # loop, which w @ xb.T (from 12 classes on) and scores @ xb would miss
+        np.matmul(xb, w_t, out=scores.T)
+        # row max and row sum as folds over the class rows; numpy adds fewer
+        # than 8 values in order, as the fold does, and 8 or more pairwise
+        scores -= functools.reduce(np.maximum, scores)
         np.exp(scores, out=scores)
-        columns /= functools.reduce(np.add, columns) if n_classes < 8 else scores.sum(axis=1)
+        scores /= functools.reduce(np.add, scores) if n_classes < 8 else np.ascontiguousarray(scores.T).sum(axis=1)
         scores -= onehot  # the softmax minus the one-hot labels
-        grad = columns @ xb / n
-        w = w - config.learning_rate * grad
-    return LinearClassifier(w)
+        w_t -= config.learning_rate * (xb.T @ scores.T / n)
+    return LinearClassifier(np.ascontiguousarray(w_t.T))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +308,10 @@ def majority_vote(pairs, n_latents, n_factors):
     if pairs.size == 0:
         raise ValueError("majority_vote needs at least one training pair")
     pairs = pairs.reshape(-1, 2)
+    outside = (pairs < 0).any(axis=1) | (pairs[:, 0] >= n_latents) | (pairs[:, 1] >= n_factors)
+    if outside.any():
+        latent, factor = pairs[outside.argmax()].tolist()
+        raise ValueError(f"pair (latent {latent}, factor {factor}) lies outside the {n_latents} x {n_factors} vote table")
     votes = np.zeros((n_latents, n_factors), dtype=np.int64)
     np.add.at(votes, (pairs[:, 0], pairs[:, 1]), 1)
     return MajorityVoteTable(votes)

@@ -139,7 +139,8 @@ def _betavae_points(oracle, splits, batch_size):
         z = oracle.sample_factors(t.size * 2 * batch_size).reshape(t.size, 2, batch_size, -1)
         z[t, 1, :, r] = z[t, 0, :, r]
         c = oracle.encode(z.reshape(-1, oracle.n_factors)).reshape(t.size, 2, batch_size, -1)
-        return np.abs(c[:, 0] - c[:, 1]).mean(axis=1)
+        diff = np.subtract(c[:, 0], c[:, 1])  # np.abs(diff).mean(axis=1), in one buffer
+        return np.add.reduce(np.abs(diff, out=diff), axis=1) / batch_size
 
     return _points(oracle, splits, 2 * batch_size, chunk)
 

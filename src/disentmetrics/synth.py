@@ -59,11 +59,11 @@ def gen_betavae_counterexample(seed=DEFAULT_SEED):
 
     def encode(rng, z):
         # what rng.choice(3, size=n, p=BETAVAE_MIX[k]) computes for k = 0, 1, 2:
-        # _BETAVAE_CDF[k].searchsorted(u[k], side="right"), as comparisons
+        # _BETAVAE_CDF[k].searchsorted(u[k], side="right"), as comparisons;
+        # the last CDF column is exactly 1.0 and u < 1, so it never counts
         u = rng.random((3, z.shape[0]))
         flat = np.arange(0, z.size, 3) + (u >= _BETAVAE_CDF[:, 0:1])
         flat += u >= _BETAVAE_CDF[:, 1:2]
-        flat += u >= _BETAVAE_CDF[:, 2:3]
         return z.ravel().take(flat.T)
 
     return RepresentationOracle(3, 3, _uniform01, encode, seed=seed)

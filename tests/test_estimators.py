@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disentmetrics import core, estimators, synth
 from disentmetrics.core import DegenerateLabelsError, RepresentationDataset
@@ -393,8 +393,9 @@ def test_classifier_deterministic():
 
 
 def _ref_classifier_weights(points, labels, config=ClassifierConfig()):
-    """The gradient-descent loop with its axis-1 row max, kept verbatim as
-    the reference the column fold must match bit for bit."""
+    """The gradient-descent loop on (n, C) scores, with ``xb @ w.T`` and
+    axis-1 row max and sum, kept verbatim as the reference that the fit's
+    contiguous (C, n) softmax, with its row folds, must match bit for bit."""
     x = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels).astype(np.int64)
     n, d = x.shape
@@ -450,6 +451,69 @@ def test_classifier_weights_match_reference_with_tied_scores(n_classes, present)
     assert all(np.array_equal(got[c], got[absent[0]]) for c in absent)
 
 
+@st.composite
+def _classifier_problems(draw):
+    n, d, n_classes = draw(st.integers(2, 400)), draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    if np.unique(y).size < 2:
+        y[0] = (y[1] + 1) % n_classes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, d)) + 0.5 * np.eye(n_classes, d)[y], y
+
+
+_TWELVE_CLASSES_TWO_ABSENT = np.random.default_rng(12).permutation(np.r_[0:5, 6:10, 11].repeat(30))
+
+
+@given(_classifier_problems())
+@example((np.random.default_rng(12).standard_normal((300, 3)), _TWELVE_CLASSES_TWO_ABSENT))
+@example((np.array([[0.0], [1.0]]), np.array([0, 7])))
+@settings(max_examples=40, deadline=None)
+def test_classifier_weights_match_reference_for_any_shape(problem):
+    # n 2-400, D 1-5 and C 2-12: absent classes, and from 8 classes on the pairwise row sum
+    x, y = problem
+    got = fit_linear_classifier(x, y).weights
+    assert np.array_equal(got.view(np.uint64), _ref_classifier_weights(x, y).view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n,d,n_classes", [(10000, 3, 3), (7, 2, 5), (300, 3, 12)])
+def test_classifier_layout_identities(n, d, n_classes):
+    # the fit's two matmul forms on its contiguous (C, n) score block give the
+    # bits of the (n, C) forms of the reference
+    rng = np.random.default_rng(n)
+    xb = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+    w_t = rng.standard_normal((d + 1, n_classes))  # the weights, transposed
+    block = np.empty((n_classes, n))
+    np.matmul(xb, w_t, out=block.T)
+    assert np.array_equal(_bits(block.T), _bits(xb @ w_t)), (
+        "np.matmul(xb, w_t, out=scores.T) no longer gives the bits of xb @ w_t on this numpy/BLAS")
+    s = rng.standard_normal((n, n_classes))  # (n, C), as the reference's probs - onehot
+    block = np.ascontiguousarray(s.T)  # (C, n), as the fit's score block
+    assert np.array_equal(_bits((xb.T @ block.T).T), _bits(s.T @ xb)), (
+        "xb.T @ scores.T no longer gives the bits of (probs - onehot).T @ xb, transposed, on this numpy/BLAS")
+
+
+@pytest.mark.parametrize("labels,fault", [
+    ([-1, 0, 1], "labels must be non-negative"),
+    ([0, 0.5, 1], "labels must be integers"),
+    ([0, np.nan, 1], "labels must be integers"),
+    ([0, np.inf, 1], "labels must be integers"),
+])
+def test_classifier_rejects_bad_labels(labels, fault):
+    with pytest.raises(ValueError, match=fault):
+        fit_linear_classifier(np.arange(6.0).reshape(3, 2), labels)
+
+
+def test_classifier_takes_whole_float_labels_as_integers():
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((50, 2)), rng.integers(0, 3, 50)
+    got = fit_linear_classifier(x, y.astype(np.float64)).weights
+    assert np.array_equal(got.view(np.uint64), fit_linear_classifier(x, y).weights.view(np.uint64))
+
+
 # --- majority vote ---------------------------------------------------------
 
 
@@ -475,6 +539,13 @@ def test_majority_vote_training_accuracy_identity():
 def test_majority_vote_empty():
     with pytest.raises(ValueError):
         majority_vote([], n_latents=1, n_factors=1)
+
+
+@pytest.mark.parametrize("bad_pair", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+def test_majority_vote_rejects_pairs_outside_the_table(bad_pair):
+    latent, factor = bad_pair
+    with pytest.raises(ValueError, match=rf"pair \(latent {latent}, factor {factor}\) lies outside the 2 x 3 vote table"):
+        majority_vote([(0, 1), (1, 2), bad_pair, (1, 0)], n_latents=2, n_factors=3)
 
 
 # --- feature importances ----------------------------------------------------
