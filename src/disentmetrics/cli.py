@@ -221,6 +221,8 @@ def cmd_correlate(args):
 
 
 def cmd_compare(args):
+    if args.builtin and args.inputs:
+        raise ValueError("compare takes two input paths or --builtin, not both")
     if args.builtin:
         rep_a, rep_b = synth.gen_comparison_matrices(args.builtin.replace("-", "_"))
         labels = (f"{args.builtin}:a", f"{args.builtin}:b")

@@ -19,11 +19,13 @@ marked read-only) and safe to share across threads. Oracles hold mutable
 RNG state and must be confined to a single thread; create per-thread
 oracles from a seed via ``reseeded``.
 
-The CSV save and load, the DCI forest in :mod:`estimators` and the BetaVAE
-and FactorVAE oracle chunks in :mod:`metrics` run contiguous blocks of their
-work on every usable CPU through one helper, :func:`_in_blocks`; the parts
-come back in block order, so no result depends on the number of CPUs, and
-inputs too small to pay for a fork stay in one process.
+The CSV save and load, the DCI forest in :mod:`estimators`, the BetaVAE
+and FactorVAE oracle chunks in :mod:`metrics` and the two representations of
+:func:`analysis.compare` run contiguous blocks of their work on every usable
+CPU through one helper, :func:`_in_blocks`; the parts come back in block
+order, so no result depends on the number of CPUs, inputs too small to pay
+for a fork stay in one process, and a fan-out nested in a block counts only
+the CPUs the outer fan-out's children leave free.
 """
 
 import contextlib
@@ -225,15 +227,21 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+# The children of this process's fan-outs, from fork to join: a fan-out nested in a
+# block counts only the CPUs they leave free. Each update is one set call, safe across threads.
+_held_by_children = set()
+
+
 def _in_blocks(block, count, work):
     """Every part that ``block(items)`` yields, for each of ``w`` contiguous blocks of
-    ``range(count)``, in block order; ``w`` is the least of the usable CPUs, ``count``
-    and ``work`` (the serial run time in microseconds) // ``_BLOCK_MIN_WORK``, at least 1.
+    ``range(count)``, in block order; ``w`` is the least of the usable CPUs less the
+    running children of this process's fan-outs, ``count`` and ``work`` (the serial
+    run time in microseconds) // ``_BLOCK_MIN_WORK``, each at least 1.
     The caller runs the first block as its parts are taken, and a forked child runs each
     other block and sends its parts through a pipe. Every block runs in the caller when
     ``w`` is 1, without the fork start method, or in a daemonic process (which may not
     have children). Close the generator if it is not run to its end."""
-    w = min(_usable_cpus(), count, max(1, work // _BLOCK_MIN_WORK))
+    w = min(max(1, _usable_cpus() - len(_held_by_children)), count, max(1, work // _BLOCK_MIN_WORK))
     blocks = [range(count * i // w, count * (i + 1) // w) for i in range(w)]
     if w > 1:
         import multiprocessing  # here, not at the top: most callers never fork
@@ -256,6 +264,7 @@ def _forked(block, blocks, context):
             child = context.Process(target=_send_block, args=(sender, block, items), daemon=True)
             child.start()
             children.append(child)
+            _held_by_children.add(child)
             sender.close()
         yield from block(blocks[0])
         for receiver in pipes:
@@ -278,6 +287,7 @@ def _forked(block, blocks, context):
             child.join()
         raise
     finally:
+        _held_by_children.difference_update(children)
         for receiver in pipes:
             receiver.close()
 

@@ -304,14 +304,20 @@ class MajorityVoteTable:
 
 def majority_vote(pairs, n_latents, n_factors):
     """Tally (latent_index, factor_index) training pairs into a vote table."""
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = np.asarray(pairs)
     if pairs.size == 0:
         raise ValueError("majority_vote needs at least one training pair")
     pairs = pairs.reshape(-1, 2)
+    if pairs.dtype.kind == "f":
+        fractional = ~(np.isfinite(pairs) & (pairs == np.trunc(pairs))).all(axis=1)
+        if fractional.any():
+            latent, factor = pairs[fractional.argmax()].tolist()
+            raise ValueError(f"pair (latent {latent}, factor {factor}) is not a pair of whole numbers")
     outside = (pairs < 0).any(axis=1) | (pairs[:, 0] >= n_latents) | (pairs[:, 1] >= n_factors)
     if outside.any():
-        latent, factor = pairs[outside.argmax()].tolist()
+        latent, factor = (int(v) for v in pairs[outside.argmax()])
         raise ValueError(f"pair (latent {latent}, factor {factor}) lies outside the {n_latents} x {n_factors} vote table")
+    pairs = pairs.astype(np.int64, copy=False)
     votes = np.zeros((n_latents, n_factors), dtype=np.int64)
     np.add.at(votes, (pairs[:, 0], pairs[:, 1]), 1)
     return MajorityVoteTable(votes)

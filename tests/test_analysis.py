@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from disentmetrics import estimators, synth
+from disentmetrics import analysis, core, estimators, synth
 from disentmetrics.analysis import _average_ranks, compare, correlate_metrics, spearman
-from disentmetrics.core import NotComputableError, RepresentationDataset
+from disentmetrics.core import NotComputableError, ParseError, RepresentationDataset, save_dataset
 from disentmetrics.synth import GeneratorSpec
+from test_core import _count_forks, _force_workers
 
 
 # --- spearman -----------------------------------------------------------
@@ -186,5 +187,56 @@ def test_compare_builds_mi_once_per_representation(monkeypatch):
     monkeypatch.setattr(estimators, "informativeness_from_mi", counted)
     d1 = synth.gen_disentangled(3, n=500, seed=1)
     d2 = synth.gen_entangled_family(1.0, n_factors=3, n=500, seed=1)
+    # under the work gate, both are scored in this process, where the builds are counted
+    assert min(analysis._load_work(d1), analysis._load_work(d2)) < core._BLOCK_MIN_WORK
     compare(d1, d2, metrics=["mig", "3charm"])
     assert len(calls) == 2
+
+
+# --- compare on every usable CPU ----------------------------------------------
+# The caller scores the first representation while a forked child scores the
+# second; every worker count must give the serial scores and typed errors.
+
+
+def _compare_files(tmp_path, case):
+    """Two CSV files for ``case``: both good, a bad cell in b, a metric skipped on
+    b (a constant factor has no entropy for MIG), or a bad cell in both."""
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    save_dataset(synth.gen_disentangled(3, n=800, seed=1), str(paths[0]))
+    b = synth.gen_entangled_family(0.5, n_factors=3, n=800, seed=2)
+    if case == "skipped_on_b":
+        b = RepresentationDataset(np.column_stack([np.ones(800), b.factors[:, 1:]]), b.latents)
+    save_dataset(b, str(paths[1]))
+    bad_rows = {"bad_cell_in_b": {1: 612}, "bad_cell_in_both": {0: 405, 1: 612}}.get(case, {})
+    for i, row in bad_rows.items():
+        lines = paths[i].read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:4] + ["oops"] + cells[5:])
+        paths[i].write_text("".join(lines), encoding="utf-8")
+    return [str(path) for path in paths]
+
+
+def _compare_outcome(paths):
+    try:
+        return "ok", compare(*paths, metrics=["mig", "3charm", "sap"]).to_json()
+    except (ParseError, NotComputableError) as err:
+        return type(err).__name__, str(err), getattr(err, "row", None), getattr(err, "column", None)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case, raised", [
+    ("good", ("ok",)),
+    ("bad_cell_in_b", ("ParseError", 612, "c2")),
+    ("skipped_on_b", ("NotComputableError", None, None)),
+    ("bad_cell_in_both", ("ParseError", 405, "c2")),  # a's error, as in one process
+])
+def test_compare_gives_the_serial_scores_and_errors_on_any_worker_count(tmp_path, monkeypatch, case, raised, workers):
+    paths = _compare_files(tmp_path, case)
+    _force_workers(monkeypatch, 1)
+    serial = _compare_outcome(paths)
+    assert (serial[0], *serial[2:]) == raised  # the outcome's type, and an error's row and column
+    _force_workers(monkeypatch, workers)
+    seen = _count_forks(monkeypatch)
+    assert _compare_outcome(paths) == serial
+    # b in one child; a's load forks too only with a third CPU, and b's (a daemon's) never
+    assert seen == [2] * (workers - 1)

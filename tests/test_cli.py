@@ -8,6 +8,7 @@ from disentmetrics import synth
 from disentmetrics.cli import build_parser, main
 from disentmetrics.core import load_dataset, save_dataset, save_matrix
 from disentmetrics.reproduce import CASES
+from test_core import _force_workers
 
 
 @pytest.fixture()
@@ -248,6 +249,27 @@ def test_compare_needs_two_inputs(capsys):
     code, _, err = run(["compare"], capsys)
     assert code == 1
     assert "two input paths" in err
+
+
+def test_compare_refuses_builtin_with_input_paths(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, err = run(["compare", "x.csv", "y.csv", "--builtin", "mig-vs-3charm", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "error: compare takes two input paths or --builtin, not both\n"
+    assert not out.exists()
+
+
+def test_compare_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch, capsys):
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    save_dataset(synth.gen_sap_nonlinear(n=800, seed=3), paths[0])
+    save_dataset(synth.gen_entangled_family(0.5, n_factors=2, n=800, seed=4), paths[1])
+    written = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        out = tmp_path / f"compare{workers}.json"
+        assert main(["compare", *paths, "--metrics", "mig,3charm,sap", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1:] == written[:1] * 2
 
 
 def test_identical_command_and_seed_byte_identical(dataset_path, tmp_path, capsys):

@@ -325,7 +325,8 @@ _LAYER_PEAKS = {
     "sap_score": (lambda ds, paths: metrics.sap_score(ds), 0.9),
     # Z and C, adopted without a copy: measured 1.00
     "dataset_from_spec": (lambda ds, paths: _big_dataset(), 1.1),
-    # one loaded dataset and its scores at a time (two datasets alone are 2.0): measured 1.81
+    # one loaded dataset and its scores at a time (two datasets alone are 2.0): measured
+    # 1.81 on one worker and 1.81 on two, where the second dataset is in a child
     "compare": (lambda ds, paths: analysis.compare(*paths, metrics=["mig", "3charm", "sap"]), 1.9),
 }
 
@@ -435,6 +436,26 @@ def test_in_blocks_forks_only_above_the_work_gate(monkeypatch):
     assert [items for _, items in above] == [[0, 1], [2, 3]] and above[1][0] != os.getpid()
 
 
+@pytest.mark.parametrize("cpus, forks, in_caller", [(2, [2], [True]), (3, [2, 2], [True, False])])
+def test_a_nested_fan_out_counts_only_the_cpus_the_outer_children_leave_free(monkeypatch, cpus, forks, in_caller):
+    def inner(items):
+        yield os.getpid()
+
+    def outer(items):
+        for _ in items:
+            yield os.getpid(), list(core._in_blocks(inner, 2, 2))
+
+    _force_workers(monkeypatch, cpus)
+    seen = _count_forks(monkeypatch)
+    (caller, nested_in_caller), (child, nested_in_child) = core._in_blocks(outer, 2, 2)
+    assert caller == os.getpid() != child
+    # the caller's nested call forks only with a third CPU; the child, a daemon, never does
+    assert [pid == caller for pid in nested_in_caller] == in_caller
+    assert set(nested_in_child) == {child}
+    assert seen == forks
+    assert core._held_by_children == set()
+
+
 def _every_subclass(cls):
     return [cls] + [sub for child in cls.__subclasses__() for sub in _every_subclass(child)]
 
@@ -464,7 +485,7 @@ def test_a_childs_metrics_error_reaches_the_caller_as_raised(monkeypatch, err):
     with pytest.raises(type(err)) as raised:
         list(core._in_blocks(block, 2, 2))
     assert type(raised.value) is type(err) and str(raised.value) == str(err) and vars(raised.value) == vars(err)
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and core._held_by_children == set()
 
 
 def test_a_childs_error_that_does_not_pickle_arrives_as_a_child_process_error(monkeypatch):

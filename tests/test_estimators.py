@@ -548,6 +548,17 @@ def test_majority_vote_rejects_pairs_outside_the_table(bad_pair):
         majority_vote([(0, 1), (1, 2), bad_pair, (1, 0)], n_latents=2, n_factors=3)
 
 
+@pytest.mark.parametrize("bad_pair, shown", [
+    ((0.5, 1.7), r"latent 0\.5, factor 1\.7"),
+    ((float("nan"), 0), r"latent nan, factor 0\.0"),
+    ((1, float("inf")), r"latent 1\.0, factor inf"),
+])
+def test_majority_vote_rejects_pairs_of_non_whole_numbers(bad_pair, shown):
+    with pytest.raises(ValueError, match=rf"^pair \({shown}\) is not a pair of whole numbers$"):
+        majority_vote([(0, 1), (1, 0), bad_pair, (0.5, 0)], n_latents=2, n_factors=2)
+    assert majority_vote([(0.0, 1.0), (1.0, 0.0)], 2, 2).votes.tolist() == [[0, 1], [1, 0]]
+
+
 # --- feature importances ----------------------------------------------------
 
 
