@@ -1,7 +1,6 @@
 """Cross-metric analysis: Spearman rank correlation over populations of
 representations and pairwise metric-disagreement reports."""
 
-import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -192,9 +191,7 @@ def compare(rep_a, rep_b, metrics=None, labels=("a", "b"), binning=BinningSpec()
 
     # side by side, the two take as long as the larger: a fork pays only for the smaller
     work = 2 * min(_load_work(rep_a), _load_work(rep_b))
-    with contextlib.closing(_in_blocks(scored, 2, work)) as columns:
-        columns = list(columns)
-    scores = dict(zip(metrics, zip(*columns)))
+    scores = dict(zip(metrics, zip(*_in_blocks(scored, 2, work))))
     preferred = {name: labels[0] if sa > sb else labels[1] if sb > sa else None
                  for name, (sa, sb) in scores.items()}
     disagreements = [

@@ -131,9 +131,10 @@ def cmd_gen(args):
     spec = synth.parse_spec_string(args.spec, seed=args.seed, n=args.n)
     dataset, info = synth.dataset_from_spec(spec)
     save_dataset(dataset, args.out)
+    defaults = synth.GENERATORS[spec.name][0]  # each parameter as the generator read it: a flag is a bool
     sidecar = {
         "generator": spec.name,
-        "params": _jsonify(spec.params),
+        "params": {key: type(defaults[key])(value) for key, value in spec.params.items()},
         "seed": spec.seed,
         "n": spec.n,
         "ground_truth": _jsonify(info),

@@ -232,25 +232,26 @@ def _usable_cpus():
 _held_by_children = set()
 
 
-def _in_blocks(block, count, work):
-    """Every part that ``block(items)`` yields, for each of ``w`` contiguous blocks of
-    ``range(count)``, in block order; ``w`` is the least of the usable CPUs less the
-    running children of this process's fan-outs, ``count`` and ``work`` (the serial
-    run time in microseconds) // ``_BLOCK_MIN_WORK``, each at least 1.
-    The caller runs the first block as its parts are taken, and a forked child runs each
-    other block and sends its parts through a pipe. Every block runs in the caller when
-    ``w`` is 1, without the fork start method, or in a daemonic process (which may not
-    have children). Close the generator if it is not run to its end."""
+def _in_blocks(block, count, work, take=list):
+    """``take(parts)``: ``parts`` iterates every part that ``block(items)`` yields, for each
+    of ``w`` contiguous blocks of ``range(count)``, in block order; ``w`` is the least of the
+    usable CPUs less the running children of this process's fan-outs, ``count`` and ``work``
+    (the serial run time in microseconds) // ``_BLOCK_MIN_WORK``, each at least 1. ``take``
+    may stream the parts. The caller runs the first block as ``take`` reads it, and a forked
+    child runs each other block and sends its parts through a pipe. Every block runs in the
+    caller when ``w`` is 1, without the fork start method, or in a daemonic process (which
+    may not have children). Every child has ended when this returns or raises: joined once
+    ``take`` has read ``parts`` to its end, else terminated and joined."""
     w = min(max(1, _usable_cpus() - len(_held_by_children)), count, max(1, work // _BLOCK_MIN_WORK))
     blocks = [range(count * i // w, count * (i + 1) // w) for i in range(w)]
+    parts = (part for items in blocks for part in block(items))
     if w > 1:
         import multiprocessing  # here, not at the top: most callers never fork
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            yield from _forked(block, blocks, multiprocessing.get_context("fork"))
-            return
-    for items in blocks:
-        yield from block(items)
+            parts = _forked(block, blocks, multiprocessing.get_context("fork"))
+    with contextlib.closing(parts):
+        return take(parts)
 
 
 def _forked(block, blocks, context):
@@ -443,9 +444,9 @@ def _read_table(path, schema):
             rows = _data_lines(path, start) if os.path.isfile(path) else None
             if rows is not None:  # Z and C first, then each piece copied into place as it arrives
                 size = os.path.getsize(path)
-                with contextlib.closing(_in_blocks(lambda offsets: _parse_range(path, start, size, offsets),
-                                                   size - start, (size - start) // 32)) as pieces:
-                    z, c = _filled(pieces, rows, takes, len(names))
+                z, c = _in_blocks(lambda offsets: _parse_range(path, start, size, offsets),
+                                  size - start, (size - start) // 32,
+                                  lambda pieces: _filled(pieces, rows, takes, len(names)))
             else:  # read on from the header in one piece, then copy it
                 pieces = list(_parse_rows(fh, None, None))
                 z, c = _filled(pieces, sum(map(len, pieces)), takes, len(names))
@@ -559,8 +560,8 @@ def save_dataset(dataset, path):
             yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
     chunks = -(-max(len(z), len(c)) // step)
-    with contextlib.closing(_in_blocks(text, chunks, z.size + c.size)) as blocks:
-        _atomic_write(path, itertools.chain([",".join(header) + "\n"], blocks))
+    _in_blocks(text, chunks, z.size + c.size,
+               lambda blocks: _atomic_write(path, itertools.chain([",".join(header) + "\n"], blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +589,8 @@ class InformativenessMatrix:
             raise ValueError("non-finite entries")
         if (v < 0).any():
             raise ValueError("negative informativeness entry")
+        if (h < 0).any():  # a zero entropy stays: MIG skips that factor
+            raise ValueError("negative factor entropy")
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "factor_entropies", _freeze(h))
 
@@ -640,7 +643,7 @@ def load_matrix(path):
     for number, row in zip(numbers[1:], np.array(rows)):
         if not np.isfinite(row).all():
             raise ParseError(f"matrix line {number} has a non-finite entry")
-        if number > numbers[1] and (row < 0).any():
+        if (row < 0).any():
             raise ParseError(f"matrix line {number} has a negative entry")
     return InformativenessMatrix(np.array(rows[1:]), np.array(rows[0]))
 
@@ -713,12 +716,12 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):  # before int: a bool is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -11,7 +11,6 @@ importance adds in tree order, so the result does not depend on the number
 of CPUs. A forest with too little work for a fork grows in one process.
 """
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -450,14 +449,13 @@ def _forest_importances(latents, targets, config):
 
     importance = [[0.0] * n_latents for _ in qs]
     root_sse = [0.0] * len(qs)
-    with contextlib.closing(_in_blocks(grow, config.n_trees, config.n_trees * len(qs) * bag)) as blocks:
-        for block in blocks:
-            for j, (sse_terms, credited, shares) in enumerate(block):
-                for sse in sse_terms:
-                    root_sse[j] += sse
-                row = importance[j]
-                for f, share in zip(credited, shares):
-                    row[f] += share
+    for block in _in_blocks(grow, config.n_trees, config.n_trees * len(qs) * bag):
+        for j, (sse_terms, credited, shares) in enumerate(block):
+            for sse in sse_terms:
+                root_sse[j] += sse
+            row = importance[j]
+            for f, share in zip(credited, shares):
+                row[f] += share
     masses = [math.fsum(imp) / sse if sse > 0 else 0.0 for imp, sse in zip(importance, root_sse)]
     return np.array(importance), masses
 

@@ -11,7 +11,6 @@ selection of them on a dataset, an oracle or an informativeness matrix.
 All argmax ties break deterministically toward the smallest index.
 """
 
-import contextlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -125,9 +124,8 @@ def _points(oracle, splits, rows_per_batch, chunk_points):
 
     values = [[] for _ in splits]
     rows = sum(count for _, _, count in splits) * rows_per_batch
-    with contextlib.closing(_in_blocks(block, len(jobs), rows * 8 // 100)) as parts:  # 0.08 us a row
-        for (split, _, _), part in zip(jobs, parts):
-            values[split].append(part)
+    for (split, _, _), part in zip(jobs, _in_blocks(block, len(jobs), rows * 8 // 100)):  # 0.08 us a row
+        values[split].append(part)
     return [(np.concatenate(v), r) for v, r in zip(values, labels)]
 
 

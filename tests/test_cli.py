@@ -89,6 +89,14 @@ def test_gen_writes_dataset_and_sidecar(tmp_path, capsys):
     assert "mixing" in meta["ground_truth"]
 
 
+def test_gen_sidecar_writes_a_flag_as_a_json_boolean(tmp_path, capsys):
+    out_path = tmp_path / "gen.csv"
+    code, _, _ = run(["gen", "--spec", "disentangled:K=2,cubic=1", "--n", "50", "--out", str(out_path)], capsys)
+    assert code == 0
+    text = (tmp_path / "gen.csv.meta.json").read_text()
+    assert '"cubic": true' in text and json.loads(text)["params"] == {"K": 2, "cubic": True}
+
+
 def test_gen_rejects_unknown_generator_parameter(tmp_path, capsys):
     code, out, err = run([
         "gen", "--spec", "entangled:levle=0.9,K=3", "--n", "50", "--out", str(tmp_path / "t.csv"),

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import pickle
@@ -736,11 +737,17 @@ def test_matrix_non_finite_entry_names_its_line(tmp_path):
 def test_matrix_negative_entry_names_its_line(tmp_path):
     with pytest.raises(ParseError, match="^matrix line 5 has a negative entry$"):
         load_matrix(write(tmp_path / "a.matrix", "2,2\n1.0,0.5\n0.5,0.25\n\n0.1,-0.2\n"))
+    with pytest.raises(ParseError, match="^matrix line 2 has a negative entry$"):
+        load_matrix(write(tmp_path / "b.matrix", "2,1\n1.0,-0.5\n0.5,0.25\n"))
+    # a zero entropy loads: MIG skips that factor
+    assert load_matrix(write(tmp_path / "c.matrix", "2,1\n1.0,0.0\n0.5,0.25\n")).factor_entropies.tolist() == [1.0, 0.0]
 
 
 def test_informativeness_matrix_invariants():
     with pytest.raises(ValueError):
         InformativenessMatrix([[-0.1]], [1.0])
+    with pytest.raises(ValueError, match="negative factor entropy"):
+        InformativenessMatrix([[0.5, 0.5]], [1.0, -0.5])
     # entries are not bounded by the factor entropies (a loaded .matrix file
     # is scored as given); informativeness_from_mi checks its own bound
     InformativenessMatrix([[1.5]], [1.0])
@@ -768,6 +775,15 @@ def test_report_json_stable():
     assert '"metric": "mig"' in text
     payload = reports_to_json([report])
     assert payload.startswith("[")
+
+
+def test_report_json_writes_every_bool_as_a_json_boolean():
+    report = MetricReport("dci", 0.5, intermediates={"low_informativeness": False, "flags": [True, np.bool_(False)],
+                                                     "count": 3, "sizes": np.array([2])})
+    written = json.loads(reports_to_json(report))["intermediates"]
+    assert written == {"low_informativeness": False, "flags": [True, False], "count": 3, "sizes": [2]}
+    values = [written["low_informativeness"], *written["flags"], written["count"], *written["sizes"]]
+    assert [type(value) for value in values] == [bool, bool, bool, int, int]  # False == 0: check the types
 
 
 def test_every_public_name_resolves():

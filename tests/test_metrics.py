@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from disentmetrics import cli, core, estimators, metrics, synth
+from disentmetrics import analysis, cli, core, estimators, metrics, synth
 from disentmetrics.core import (
     InformativenessMatrix,
     NotComputableError,
@@ -483,6 +483,38 @@ def test_a_non_finite_latent_in_a_childs_chunk_raises_the_serial_error(monkeypat
         "non-finite value [column c2, row 10]"
     assert forked.value.issues == serial.value.issues
     assert multiprocessing.active_children() == []
+
+
+# --- every fan-out joins its children --------------------------------------------
+# On a normal run no child is terminated: each has sent its end message and exited
+# with code 0 when the call returns.
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("call", ["betavae", "factorvae", "forest", "save", "load", "compare"])
+def test_every_fan_out_joins_its_children_on_a_normal_run(tmp_path, monkeypatch, workers, call):
+    dataset = synth.gen_disentangled(3, n=800, seed=1)
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path, seed in zip(paths, (1, 2)):
+        core.save_dataset(synth.gen_entangled_family(0.5, n_factors=3, n=800, seed=seed), path)
+    run = {
+        "betavae": lambda: beta_vae_score(synth.gen_betavae_counterexample(seed=4), FAN_OUT),
+        "factorvae": lambda: factor_vae_score(synth.gen_factorvae_counterexample(seed=4), FAN_OUT),
+        "forest": lambda: estimators.importance_matrix_from_dataset(
+            dataset, "forest", estimators.ForestConfig(n_trees=7, max_depth=4, seed=9)),
+        "save": lambda: core.save_dataset(dataset, str(tmp_path / "c.csv")),
+        "load": lambda: core.load_dataset(paths[0]),
+        "compare": lambda: analysis.compare(*paths, metrics=["mig", "3charm", "sap"]),
+    }[call]
+    _force_workers(monkeypatch, workers)
+    base = multiprocessing.process.BaseProcess
+    started, terminated, start, terminate = [], [], base.start, base.terminate
+    monkeypatch.setattr(base, "start", lambda child: started.append(child) or start(child))
+    monkeypatch.setattr(base, "terminate", lambda child: terminated.append(child) or terminate(child))
+    run()
+    assert terminated == [] and multiprocessing.active_children() == []
+    assert started and [child.exitcode for child in started] == [0] * len(started)
+    assert core._held_by_children == set()
 
 
 # --- permutation invariance ------------------------------------------------------
