@@ -35,8 +35,10 @@ def spearman(a, b):
     """Pearson correlation of the fractional-rank vectors of a and b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size != b.size or a.size < 2:
-        raise ValueError("sequences must share a length >= 2")
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 2:
+        raise ValueError("sequences must be 1-d and share a length >= 2")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("sequences must be finite")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise NotComputableError("rank correlation is undefined for a constant sequence")
     ra = _average_ranks(a)
@@ -194,9 +196,6 @@ def compare(rep_a, rep_b, metrics=None, labels=("a", "b"), binning=BinningSpec()
     scores = dict(zip(metrics, zip(*_in_blocks(scored, 2, work))))
     preferred = {name: labels[0] if sa > sb else labels[1] if sb > sa else None
                  for name, (sa, sb) in scores.items()}
-    disagreements = [
-        (m1, m2)
-        for m1, m2 in combinations(metrics, 2)
-        if preferred[m1] is not None and preferred[m2] is not None and preferred[m1] != preferred[m2]
-    ]
+    disagreements = [(m1, m2) for m1, m2 in combinations(metrics, 2)
+                     if None not in (preferred[m1], preferred[m2]) and preferred[m1] != preferred[m2]]
     return ComparisonReport(labels[0], labels[1], scores, preferred, disagreements)

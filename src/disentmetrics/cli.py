@@ -116,12 +116,7 @@ def cmd_eval(args):
         for r in reports:
             if r.skipped:
                 raise MetricsError(f"metric {r.metric!r} not computable on this input: {r.skip_reason}")
-    if args.format == "json":
-        _emit(reports_to_json(reports), args.out)
-    elif args.format == "csv":
-        _emit(_reports_csv(reports), args.out)
-    else:
-        _emit(_reports_table(reports), args.out)
+    _emit({"json": reports_to_json, "csv": _reports_csv, "table": _reports_table}[args.format](reports), args.out)
     return 0
 
 

@@ -33,6 +33,8 @@ import csv
 import io
 import itertools
 import json
+import math
+import numbers
 import os
 import pickle
 from dataclasses import dataclass, field, fields
@@ -78,6 +80,17 @@ class DegenerateLabelsError(MetricsError):
     """A classifier was asked to fit fewer than two classes."""
 
 
+def _check_fields(config, **least):
+    """Raise ValueError naming the first field of the dataclass ``config`` in ``least`` that is
+    not an integer (for an ``int`` field) or a finite number, or is below its value there."""
+    types = {f.name: f.type for f in fields(config)}
+    for name, low in least.items():
+        value, whole = getattr(config, name), types[name] is int
+        if not (isinstance(value, numbers.Integral) if whole else
+                isinstance(value, numbers.Real) and math.isfinite(value)) or value < low:
+            raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'} >= {low}, got {value!r}")
+
+
 def _freeze(a, order="K", copy=True):
     arr = (np.array if copy else np.asarray)(a, dtype=np.float64, order=order)
     arr.setflags(write=False)
@@ -93,8 +106,9 @@ class RepresentationDataset:
     column means depend on it, bit for bit). Names default
     to ``z1..zK`` and ``c1..cN``; ``cardinalities`` holds one entry per
     factor, None for a continuous factor and k for a discrete one over
-    {0, ..., k-1} (all continuous by default). Construction is permissive;
-    run :func:`validate` to check invariants (loaders do this automatically).
+    {0, ..., k-1} (all continuous by default). Construction raises
+    :class:`ValidationError` listing every bad column (see :func:`validate`),
+    so every dataset has valid columns; it may still lack a column group.
     """
 
     factors: np.ndarray
@@ -108,8 +122,9 @@ class RepresentationDataset:
         if factors.ndim != 2 or latents.ndim != 2:
             raise ValueError("factors and latents must be 2-d (rows, columns) arrays")
         k, m = factors.shape[1], latents.shape[1]
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "latents", latents)
+        # a group with no columns gets the other's rows: only two groups with columns can differ
+        object.__setattr__(self, "factors", factors if k else _freeze(np.empty((latents.shape[0], 0))))
+        object.__setattr__(self, "latents", latents if m else _freeze(np.empty((self.factors.shape[0], 0))))
         defaults = {
             "factor_names": [f"z{j + 1}" for j in range(k)],
             "latent_names": [f"c{i + 1}" for i in range(m)],
@@ -122,6 +137,8 @@ class RepresentationDataset:
             raise ValueError("need one name per column and one cardinality per factor")
         if any(card is not None and card < 1 for card in self.cardinalities):
             raise ValueError("discrete factor needs cardinality >= 1")
+        if issues := _column_issues(self):
+            raise ValidationError(issues)
 
     @classmethod
     def _adopt(cls, factors, latents, factor_names=None, latent_names=None, cardinalities=None):
@@ -136,7 +153,7 @@ class RepresentationDataset:
 
     @property
     def n(self):
-        return (self.factors if self.n_factors else self.latents).shape[0]
+        return self.factors.shape[0]
 
     @property
     def n_factors(self):
@@ -162,49 +179,53 @@ class ValidationIssue:
     message: str
 
     def __str__(self):
-        where = ""
-        if self.column is not None:
-            where = f" [column {self.column}" + (f", row {self.row}]" if self.row else "]")
-        return self.message + where
+        if self.column is None:
+            return self.message
+        return f"{self.message} [column {self.column}" + (f", row {self.row}]" if self.row else "]")
 
 
-def _non_finite(names, finite):
-    """One issue per False entry of the (rows, columns) mask, column by column."""
-    if finite.all():  # the common case: no transposed mask to search
-        return []
-    return [ValidationIssue(names[j], int(r) + 1, "non-finite value") for j, r in zip(*np.nonzero(~finite.T))]
+def _non_finite(names, values):
+    """One issue per non-finite entry of the (rows, columns) ``values``, column by column."""
+    if not values.size or np.isfinite(values.min()) and np.isfinite(values.max()):  # NaN reaches both
+        return []  # the common case, without a mask
+    bad = np.nonzero(~np.isfinite(values.T))
+    return [ValidationIssue(names[j], int(r) + 1, "non-finite value") for j, r in zip(*bad)]
 
 
-def validate(dataset):
-    """Check every dataset invariant; returns a list of issues (empty = pass)."""
-    issues = []
-    if dataset.n_factors < 1:
-        issues.append(ValidationIssue(None, None, "dataset has no factor columns"))
-    if dataset.n_latents < 1:
-        issues.append(ValidationIssue(None, None, "dataset has no latent columns"))
+def _missing_groups(dataset):
+    """An issue for a dataset with no factor columns, and one for a dataset with no latent columns."""
+    return [ValidationIssue(None, None, f"dataset has no {group} columns")
+            for group, count in (("factor", dataset.n_factors), ("latent", dataset.n_latents)) if count < 1]
+
+
+def _column_issues(dataset):
+    """Every bad column of a dataset's arrays, in a fixed order: an empty column, a length
+    mismatch, non-finite values (factors, then latents) and out-of-range discrete values."""
     names = dataset.factor_names + dataset.latent_names
     if not names:
-        return issues
-    n = dataset.n
+        return []
+    issues, n = [], dataset.n
     if n < 1:
         issues.append(ValidationIssue(names[0], None, "empty column"))
     if dataset.latents.shape[0] != n:
         issues.extend(ValidationIssue(name, None, "length mismatch") for name in dataset.latent_names)
-    finite = np.isfinite(dataset.factors)
-    issues += _non_finite(dataset.factor_names, finite)
-    issues += _non_finite(dataset.latent_names, np.isfinite(dataset.latents))
+    issues += _non_finite(dataset.factor_names, dataset.factors)
+    issues += _non_finite(dataset.latent_names, dataset.latents)
     for j, card in enumerate(dataset.cardinalities):
         if card is None:
             continue
         v = dataset.factors[:, j]
-        off = np.flatnonzero(finite[:, j] & ((v != np.floor(v)) | (v < 0) | (v >= card)))
-        for r in off:
-            issues.append(
-                ValidationIssue(
-                    dataset.factor_names[j], int(r) + 1, f"value {v[r]!r} outside discrete range 0..{card - 1}"
-                )
-            )
+        off = np.flatnonzero(np.isfinite(v) & ((v != np.floor(v)) | (v < 0) | (v >= card)))
+        issues.extend(ValidationIssue(dataset.factor_names[j], int(r) + 1,
+                                      f"value {v[r]!r} outside discrete range 0..{card - 1}") for r in off)
     return issues
+
+
+def validate(dataset):
+    """Every issue of a dataset (empty = pass): a missing factor or latent group, then every bad
+    column (an empty column, a length mismatch, a non-finite value, a discrete value out of range).
+    Construction raises for a bad column, so on a dataset only a missing group can show."""
+    return _missing_groups(dataset) + _column_issues(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +420,7 @@ def load_dataset(path, schema=None):
             raise ParseError("the header row is not UTF-8 text") from None
         raise ParseError(f"row {line - 1} is not UTF-8 text", row=line - 1) from None
     dataset = RepresentationDataset._adopt(z, c, factors, latents, cardinalities)
-    issues = validate(dataset)
-    if issues:
+    if issues := _missing_groups(dataset):
         raise ValidationError(issues)
     return dataset
 
@@ -438,6 +458,8 @@ def _read_table(path, schema):
         factors = [name for name in order if roles[name][0] == "factor"]
         latents = [name for name in order if roles[name][0] == "latent"]
         takes = [[names.index(name) for name in columns] for columns in (factors, latents)]
+        if not names:  # an empty header: no rows to read, and the load refuses both missing groups
+            return factors, latents, [], np.empty((0, 0)), np.empty((0, 0))
 
         start = len("".join(header_lines).encode("utf-8"))
         try:  # a ValueError (UnicodeDecodeError included), here or in a child, is a fault
@@ -559,7 +581,7 @@ def save_dataset(dataset, path):
             rows = np.hstack([z[s * step:(s + 1) * step], c[s * step:(s + 1) * step]]).tolist()
             yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
-    chunks = -(-max(len(z), len(c)) // step)
+    chunks = -(-dataset.n // step)
     _in_blocks(text, chunks, z.size + c.size,
                lambda blocks: _atomic_write(path, itertools.chain([",".join(header) + "\n"], blocks)))
 
@@ -684,9 +706,8 @@ class RepresentationOracle:
     def encode(self, z):
         """The encoder's latents for factor rows z; a non-finite one raises :class:`ValidationError`."""
         c = self._encoder(self._rng, z)
-        finite = np.isfinite(c)
-        if not finite.all():
-            raise ValidationError(_non_finite([f"c{i + 1}" for i in range(c.shape[1])], finite))
+        if issues := _non_finite([f"c{i + 1}" for i in range(c.shape[1])], c):
+            raise ValidationError(issues)
         return c
 
     def sample(self, n):
@@ -751,8 +772,5 @@ class MetricReport:
 
 def reports_to_json(reports):
     """Serialize one report or a list with stable, sorted keys."""
-    if isinstance(reports, MetricReport):
-        payload = reports.to_dict()
-    else:
-        payload = [r.to_dict() for r in reports]
+    payload = reports.to_dict() if isinstance(reports, MetricReport) else [r.to_dict() for r in reports]
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -21,6 +21,7 @@ from .core import (
     DegenerateLabelsError,
     InformativenessMatrix,
     NotComputableError,
+    _check_fields,
     _in_blocks,
 )
 
@@ -43,8 +44,7 @@ class BinningSpec:
     def __post_init__(self):
         if self.strategy not in BIN_STRATEGIES:
             raise ValueError(f"unknown binning strategy {self.strategy!r}")
-        if self.bin_count < 2:
-            raise ValueError("bin_count must be >= 2")
+        _check_fields(self, bin_count=2)
 
 
 def discretize(values, spec=BinningSpec()):
@@ -165,8 +165,10 @@ def linear_regression_r2(x, y):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("x and y must share a length >= 2")
+    if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size < 2:
+        raise ValueError("x and y must be 1-d and share a length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     return centred_r2(centred(x), centred(y))
 
 
@@ -335,10 +337,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        _check_fields(self, n_trees=1, max_depth=1, seed=0)
         if not 0.0 < self.bag_fraction <= 1.0:
             raise ValueError("bag_fraction must lie in (0, 1]")
 
@@ -348,6 +347,9 @@ class LassoConfig:
     alpha: float = 0.01
     max_iter: int = 1000
     tol: float = 1e-10
+
+    def __post_init__(self):
+        _check_fields(self, alpha=0, max_iter=1, tol=0)
 
 
 def _grow_tree(q, order, vals, tied, max_depth, credited, shares):

@@ -21,9 +21,8 @@ from .core import (
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
-    ValidationError,
+    _check_fields,
     _in_blocks,
-    validate,
 )
 from . import estimators
 from .estimators import BinningSpec, ClassifierConfig
@@ -45,10 +44,7 @@ class InterventionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.train_points < 1 or self.eval_points < 1:
-            raise ValueError("point counts must be >= 1")
+        _check_fields(self, train_points=1, eval_points=1, batch_size=2, seed=0)
 
 
 def _spawn_seeds(seed, count, domain=0):
@@ -396,14 +392,6 @@ def three_charm_score(matrix):
 # ---------------------------------------------------------------------------
 
 
-def _check_columns(dataset):
-    """Raise :class:`ValidationError` for a bad column; a missing factor or
-    latent group is left to each metric to skip."""
-    issues = [issue for issue in validate(dataset) if issue.column is not None]
-    if issues:
-        raise ValidationError(issues)
-
-
 class _Inputs:
     """What one :func:`evaluate_all` call scores from. The dataset sampled
     from an oracle and the MI matrix (the given matrix, or estimated from
@@ -422,7 +410,6 @@ class _Inputs:
         if self._dataset is None:
             seed = _spawn_seeds(self.config.seed, 1, domain=3)[0]
             self._dataset = self.source.reseeded(seed).sample_dataset(self.config.train_points)
-            _check_columns(self._dataset)
         return self._dataset
 
     def mi(self):
@@ -470,11 +457,11 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     is sampled into a seeded dataset of ``train_points`` rows for the
     dataset-based metrics. A matrix is scored as given (by default with
     DCI, MIG and 3CharM); nothing is estimated from it, so its reports
-    carry no seed and no config. A dataset with a bad column (unequal
-    length, a non-finite value, an out-of-range discrete value) raises
-    :class:`ValidationError` with the issues :func:`core.validate` found,
-    and so does the dataset sampled from an oracle; an oracle's sampling
-    raises it for a non-finite latent before any metric sees one.
+    carry no seed and no config. A dataset has valid columns by
+    construction (a bad one raises :class:`ValidationError` where the
+    dataset is built, a dataset sampled from an oracle included), so no
+    column is checked here; a dataset with no factor or no latent columns
+    is scored, and each metric that needs the missing group is skipped.
     """
     if metrics is not None and len(metrics) == 0:
         raise ValueError("no metrics selected")
@@ -491,8 +478,6 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     for name in selection:
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
-    if isinstance(source, RepresentationDataset):
-        _check_columns(source)
 
     inputs = _Inputs(source, config, binning, importance_method)
     seed = None if is_matrix else config.seed

@@ -39,6 +39,18 @@ def test_spearman_constant_not_computable():
         spearman([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [[1, np.nan, 3, 4, 5], [1, 2, np.inf, 4, 5], [-np.inf, 2, 3, 4, 5]])
+def test_spearman_rejects_non_finite_input(bad):
+    for a, b in ((bad, [1, 2, 3, 4, 5]), ([1, 2, 3, 4, 5], bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            spearman(a, b)
+
+
+def test_spearman_rejects_non_1d_input():
+    with pytest.raises(ValueError, match="must be 1-d"):
+        spearman([[1, 2], [3, 4]], [1, 2, 3, 4])
+
+
 def test_spearman_symmetric():
     rng = np.random.default_rng(0)
     a = rng.normal(size=40)

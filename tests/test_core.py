@@ -19,6 +19,7 @@ from disentmetrics.core import (
     MetricReport,
     ParseError,
     RepresentationDataset,
+    RepresentationOracle,
     SchemaError,
     ValidationError,
     ValidationIssue,
@@ -233,12 +234,14 @@ def test_load_matrix_names_the_line_that_is_not_utf8(tmp_path):
         load_matrix(str(path))
 
 
+def _header(dataset):
+    return ",".join([f"{name}:c" if card is None else f"{name}:d{card}"
+                     for name, card in zip(dataset.factor_names, dataset.cardinalities)] + list(dataset.latent_names))
+
+
 def _join_writer(dataset, path):
     """The one-string CSV writer the streamed ``save_dataset`` must match byte for byte."""
-    header = [f"{name}:c" if card is None else f"{name}:d{card}"
-              for name, card in zip(dataset.factor_names, dataset.cardinalities)]
-    header.extend(dataset.latent_names)
-    lines = [",".join(header)]
+    lines = [_header(dataset)]
     lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack([dataset.factors, dataset.latents]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -251,10 +254,21 @@ def _edge_value_dataset(n=5000):
     return RepresentationDataset(ds.factors, latents, ds.factor_names, ds.latent_names, ds.cardinalities)
 
 
+def _header_only_is_an_empty_column(ds, path):
+    """The 0-row slice of ``ds`` cannot be built, and its header-only CSV loads to an empty column."""
+    with pytest.raises(ValidationError, match="^empty column"):
+        _rows(ds, 0)
+    path.write_text(_header(ds) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="^empty column"):
+        load_dataset(str(path))
+
+
 @pytest.mark.parametrize("n", [0, 1, 5000])
 def test_save_dataset_bytes_match_the_join_writer(tmp_path, n):
-    ds = _edge_value_dataset()
-    ds = RepresentationDataset(ds.factors[:n], ds.latents[:n], ds.factor_names, ds.latent_names, ds.cardinalities)
+    if n == 0:
+        _header_only_is_an_empty_column(_edge_value_dataset(), tmp_path / "old.csv")
+        return
+    ds = _rows(_edge_value_dataset(), n)
     save_dataset(ds, str(tmp_path / "new.csv"))
     _join_writer(ds, str(tmp_path / "old.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -318,7 +332,8 @@ def big_files(tmp_path_factory):
 
 # layer -> (its call on the big dataset and files, bound in multiples of the data's bytes)
 _LAYER_PEAKS = {
-    # the two finite masks (1/8 each, no transposed copy): measured 0.125
+    # the column checks: on finite data, a min and a max per matrix and no mask (two masks,
+    # 1/8 each, before the check was made allocation-free): measured 0.0005
     "validate": (lambda ds, paths: core.validate(ds), 0.15),
     # the factors' int64 codes (0.5) and one latent's codes: measured 0.66
     "informativeness_from_mi": (lambda ds, paths: estimators.informativeness_from_mi(ds), 0.75),
@@ -369,17 +384,16 @@ def _bits(ds):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2047, 2048, 2049, 5000, 20000])
 def test_csv_save_and_load_are_bit_identical_on_any_worker_count(tmp_path, monkeypatch, workers, n):
+    _force_workers(monkeypatch, workers)
+    if n == 0:
+        _header_only_is_an_empty_column(_edge_value_dataset(20000), tmp_path / "old.csv")
+        return
     ds = _rows(_edge_value_dataset(20000), n)
     _join_writer(ds, str(tmp_path / "old.csv"))
-    _force_workers(monkeypatch, workers)
     save_dataset(ds, str(tmp_path / "new.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert not (tmp_path / "new.csv.tmp").exists()
-    if n == 0:
-        with pytest.raises(ValidationError, match="empty column"):
-            load_dataset(str(tmp_path / "old.csv"))
-    else:
-        assert _bits(load_dataset(str(tmp_path / "old.csv"))) == _bits(ds)
+    assert _bits(load_dataset(str(tmp_path / "old.csv"))) == _bits(ds)
 
 
 @pytest.mark.parametrize("below, forks", [(1, []), (0, [2])])
@@ -656,21 +670,90 @@ def test_validate_passes_well_formed():
 
 
 def test_validate_length_mismatch():
-    ds = RepresentationDataset([[0.0], [1.0]], [[0.5, 0.1], [0.25, 0.2], [0.75, 0.3]])
-    issues = validate(ds)
-    assert [(i.column, i.row, i.message) for i in issues] == [
+    with pytest.raises(ValidationError) as err:
+        RepresentationDataset([[0.0], [1.0]], [[0.5, 0.1], [0.25, 0.2], [0.75, 0.3]])
+    assert [(i.column, i.row, i.message) for i in err.value.issues] == [
         ("c1", None, "length mismatch"), ("c2", None, "length mismatch")]
 
 
 def test_validate_lists_issues_column_by_column():
     z = np.array([[0.0, np.nan], [7.0, 0.5], [np.inf, 1.5]])
     c = np.array([[np.nan, 0.0], [0.5, -np.inf], [0.5, np.nan]])
-    issues = validate(RepresentationDataset(z, c, cardinalities=[3, None]))
-    assert [(i.column, i.row, i.message) for i in issues] == [
+    with pytest.raises(ValidationError) as err:
+        RepresentationDataset(z, c, cardinalities=[3, None])
+    assert [(i.column, i.row, i.message) for i in err.value.issues] == [
         ("z1", 3, "non-finite value"), ("z2", 1, "non-finite value"),
         ("c1", 1, "non-finite value"), ("c2", 2, "non-finite value"), ("c2", 3, "non-finite value"),
         ("z1", 2, "value np.float64(7.0) outside discrete range 0..2"),
     ]
+
+
+# Each column fault: factors, latents, cardinalities, the same dataset as a CSV file
+# (None where a CSV cannot hold it) and the ValidationError that building it raises
+_COLUMN_FAULTS = {
+    "empty column": (np.zeros((0, 1)), np.zeros((0, 1)), [3], "z1:d3,c1\n", "empty column [column z1]"),
+    "length mismatch": (np.zeros((3, 1)), np.zeros((2, 2)), [3], None,
+                        "length mismatch [column c1]; length mismatch [column c2]"),
+    "non-finite value": ([[0.0], [1.0]], [[0.5], [np.nan]], [3], "z1:d3,c1\n0,0.5\n1,nan\n",
+                         "non-finite value [column c1, row 2]"),
+    "discrete value out of range": ([[0.0], [5.0]], [[0.5], [0.25]], [3], "z1:d3,c1\n0,0.5\n5,0.25\n",
+                                    "value np.float64(5.0) outside discrete range 0..2 [column z1, row 2]"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_COLUMN_FAULTS))
+def test_every_way_to_build_a_dataset_raises_for_each_column_fault(tmp_path, fault):
+    factors, latents, cards, csv_text, shown = _COLUMN_FAULTS[fault]
+    builds = [lambda: RepresentationDataset(factors, latents, cardinalities=cards),
+              lambda: RepresentationDataset._adopt(np.array(factors, dtype=np.float64),
+                                                   np.array(latents, dtype=np.float64), cardinalities=cards)]
+    if csv_text is not None:
+        builds.append(lambda: load_dataset(write(tmp_path / "d.csv", csv_text)))
+    for build in builds:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == shown
+
+
+def _nan_row_3(rng, n):
+    z = rng.random((n, 2))
+    z[2] = np.nan
+    return z
+
+
+@pytest.mark.parametrize("n, sampler, encoder, shown", [
+    (0, lambda rng, n: rng.random((n, 2)), lambda rng, z: z.copy(), "empty column [column z1]"),
+    (4, lambda rng, n: rng.random((n, 2)), lambda rng, z: z[:-1].copy(),
+     "length mismatch [column c1]; length mismatch [column c2]"),
+    (4, _nan_row_3, lambda rng, z: np.zeros_like(z),
+     "non-finite value [column z1, row 3]; non-finite value [column z2, row 3]"),
+])
+def test_an_oracle_sample_raises_for_a_column_fault(n, sampler, encoder, shown):
+    with pytest.raises(ValidationError) as err:
+        RepresentationOracle(2, 2, sampler, encoder).sample_dataset(n)
+    assert str(err.value) == shown
+
+
+def test_a_group_with_no_columns_takes_the_other_groups_rows(tmp_path):
+    for factors, latents, missing in [(np.empty((3, 0)), np.ones((5, 2)), "factor"),
+                                      (np.ones((4, 2)), np.empty((7, 0)), "latent")]:
+        ds = RepresentationDataset(factors, latents)
+        assert ds.factors.shape[0] == ds.latents.shape[0] == ds.n == len(latents if missing == "factor" else factors)
+        save_dataset(ds, str(tmp_path / "d.csv"))
+        with pytest.raises(ValidationError, match=f"^dataset has no {missing} columns$"):
+            load_dataset(str(tmp_path / "d.csv"))
+
+
+def test_a_dataset_with_no_columns_saves_a_file_the_load_refuses_for_both_groups(tmp_path):
+    save_dataset(RepresentationDataset(np.empty((4, 0)), np.empty((4, 0))), str(tmp_path / "d.csv"))
+    assert (tmp_path / "d.csv").read_text(encoding="utf-8") == "\n" * 5
+    with pytest.raises(ValidationError, match="^dataset has no factor columns; dataset has no latent columns$"):
+        load_dataset(str(tmp_path / "d.csv"))
+
+
+def test_a_csv_with_no_factor_columns_and_a_bad_cell_reports_only_the_cell(tmp_path):
+    with pytest.raises(ValidationError, match=r"^non-finite value \[column c, row 2\]$"):
+        load_dataset(write(tmp_path / "d.csv", "c\n1\nnan\n"))
 
 
 def test_validation_error_message_names_ten_issues_and_counts_the_rest(tmp_path):
@@ -686,8 +769,9 @@ def test_validation_error_message_names_ten_issues_and_counts_the_rest(tmp_path)
 
 
 def test_validate_discrete_out_of_range_names_cell():
-    ds = RepresentationDataset([[0.0], [5.0], [1.0]], [[0.5], [0.25], [0.1]], cardinalities=[3])
-    issues = validate(ds)
+    with pytest.raises(ValidationError) as err:
+        RepresentationDataset([[0.0], [5.0], [1.0]], [[0.5], [0.25], [0.1]], cardinalities=[3])
+    issues = err.value.issues
     assert len(issues) == 1
     assert issues[0].column == "z1" and issues[0].row == 2
 

@@ -18,6 +18,7 @@ from disentmetrics.estimators import (
     BinningSpec,
     ClassifierConfig,
     ForestConfig,
+    LassoConfig,
     discretize,
     encode_factor,
     entropy,
@@ -289,6 +290,18 @@ def test_r2_power_fifteen():
 def test_r2_constant_input():
     assert linear_regression_r2(np.ones(10), np.arange(10.0)) == 0.0
     assert linear_regression_r2(np.arange(10.0), np.ones(10)) == 0.0
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "must be finite"),
+    ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "must be finite"),
+    ([-np.inf, 2.0, 3.0], [1.0, 2.0, 4.0], "must be finite"),
+    ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0, 4.0], "must be 1-d"),
+    ([1.0, 2.0, 3.0, 4.0], [[1.0, 2.0], [3.0, 4.0]], "must be 1-d"),
+])
+def test_r2_rejects_non_finite_or_non_1d_input(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        linear_regression_r2(x, y)
 
 
 def _ref_r2(x, y):
@@ -632,6 +645,30 @@ def test_forest_config_rejects_bad_values(kwargs):
 
 def test_forest_config_accepts_edges():
     ForestConfig(n_trees=1, max_depth=1, bag_fraction=1.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: BinningSpec(bin_count=2.5), "bin_count"),
+    (lambda: BinningSpec(bin_count=1), "bin_count"),
+    (lambda: ForestConfig(n_trees=2.5), "n_trees"),
+    (lambda: ForestConfig(max_depth=2.5), "max_depth"),
+    (lambda: ForestConfig(seed=-1), "seed"),
+    (lambda: LassoConfig(alpha=-1), "alpha"),
+    (lambda: LassoConfig(alpha=np.nan), "alpha"),
+    (lambda: LassoConfig(alpha=np.inf), "alpha"),
+    (lambda: LassoConfig(alpha="0.1"), "alpha"),
+    (lambda: LassoConfig(max_iter=10.5), "max_iter"),
+    (lambda: LassoConfig(tol=np.nan), "tol"),
+])
+def test_configs_name_the_field_they_reject(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build()
+
+
+def test_configs_accept_numpy_integers_and_a_zero_alpha():
+    assert BinningSpec(bin_count=np.int64(5)).bin_count == 5
+    assert ForestConfig(n_trees=np.int32(3), max_depth=np.int64(2), seed=np.uint32(7)).max_depth == 2
+    assert LassoConfig(alpha=0, max_iter=np.int64(10), tol=0.0).alpha == 0
 
 
 def test_lasso_single_informative_feature():

@@ -628,10 +628,43 @@ def test_evaluate_all_rejects_non_finite_dataset(bad):
 
 def test_evaluate_all_rejects_unequal_column_lengths():
     ds = synth.gen_sap_nonlinear(n=10, seed=2)
-    short = RepresentationDataset(ds.factors, ds.latents[:9])
     with pytest.raises(ValidationError) as info:
-        evaluate_all(short, metrics=["dci"])
+        evaluate_all(RepresentationDataset(ds.factors, ds.latents[:9]), metrics=["dci"])
     assert [(i.column, i.message) for i in info.value.issues] == [("c1", "length mismatch"), ("c2", "length mismatch")]
+
+
+@pytest.mark.parametrize("fault, shown", [
+    ("nan", "non-finite value [column c1, row 4]"),
+    ("one row short", "length mismatch [column c1]; length mismatch [column c2]"),
+])
+def test_no_dataset_call_can_be_handed_an_invalid_dataset(tmp_path, fault, shown):
+    """Each call once took such a dataset: DCI scored the NaN one 0.966 and the short one
+    0.978 (its forest never read the last factor row), SAP scored the NaN one nan, the MI
+    matrix raised a bare numpy ValueError and the save wrote a file the load refused."""
+    ds = synth.gen_sap_nonlinear(n=50, seed=2)
+    latents = ds.latents.copy()
+    if fault == "nan":
+        latents[3, 0] = np.nan
+    else:
+        latents = latents[:-1]
+    path = tmp_path / "d.csv"
+    for call in (dci_from_dataset, sap_score, informativeness_from_mi, estimators.importance_matrix_from_dataset,
+                 lambda dataset: core.save_dataset(dataset, str(path))):
+        with pytest.raises(ValidationError) as err:
+            call(RepresentationDataset(ds.factors, latents))
+        assert str(err.value) == shown
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"train_points": 10.5}, "train_points"), ({"eval_points": 0}, "eval_points"),
+    ({"batch_size": 4.5}, "batch_size"), ({"batch_size": 1}, "batch_size"), ({"train_points": "10"}, "train_points"),
+    ({"seed": -1}, "seed"), ({"seed": 2.5}, "seed"),
+])
+def test_intervention_config_names_the_field_it_rejects(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        InterventionConfig(**kwargs)
+    assert InterventionConfig(train_points=np.int64(5), eval_points=1, batch_size=2).train_points == 5
 
 
 def test_evaluate_all_rejects_non_finite_oracle_latent():

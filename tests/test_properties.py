@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -14,6 +16,10 @@ from disentmetrics.core import (
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
+    ValidationError,
+    load_dataset,
+    save_dataset,
+    validate,
 )
 from disentmetrics.estimators import (
     BinningSpec,
@@ -338,6 +344,46 @@ def test_degenerate_datasets_score_skip_or_raise_typed(dataset):
             assert report.skip_reason
         else:
             assert 0.0 <= report.score <= 1.0
+
+
+@st.composite
+def faulty_columns(draw):
+    """The arguments of a degenerate dataset, with up to two cells set to a non-finite or
+    possibly out-of-range value and, half the time, one group cut to fewer rows (none included)."""
+    dataset = draw(degenerate_datasets())
+    groups = [dataset.factors.copy(), dataset.latents.copy()]
+    for _ in range(draw(st.integers(0, 2))):
+        group = groups[draw(st.integers(0, 1))]
+        if group.size:
+            cell = draw(st.integers(0, group.shape[0] - 1)), draw(st.integers(0, group.shape[1] - 1))
+            group[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.5, 30.0]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 1))
+        groups[i] = groups[i][:draw(st.integers(0, dataset.n - 1))]
+    return (*groups, dataset.factor_names, dataset.latent_names, dataset.cardinalities)
+
+
+@given(faulty_columns())
+@settings(max_examples=200, deadline=None)
+def test_a_dataset_raises_where_it_is_built_or_round_trips_through_csv(columns):
+    try:
+        dataset = RepresentationDataset(*columns)
+    except ValidationError as err:
+        assert err.issues and all(issue.column is not None for issue in err.issues)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        save_dataset(dataset, path)
+        if dataset.n_factors and dataset.n_latents:
+            assert validate(dataset) == []
+            back = load_dataset(path)
+            assert (back.factor_names, back.latent_names, back.cardinalities) == columns[2:]
+            for name in ("factors", "latents"):
+                assert np.array_equal(getattr(back, name).view(np.uint64), getattr(dataset, name).view(np.uint64))
+        else:
+            with pytest.raises(ValidationError, match="^dataset has no (factor|latent) columns") as err:
+                load_dataset(path)
+            assert err.value.issues == validate(dataset)
 
 
 @given(paired_datasets(), st.sampled_from([1e150, 1e200, 1e307, 1e-300]), st.sampled_from(["latents", "factors"]))
