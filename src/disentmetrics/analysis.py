@@ -1,7 +1,6 @@
 """Cross-metric analysis: Spearman rank correlation over populations of
 representations and pairwise metric-disagreement reports."""
 
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -13,6 +12,7 @@ from .core import (
     NotComputableError,
     RepresentationDataset,
     _in_blocks,
+    _json_text,
     _jsonify,
 )
 from .estimators import BinningSpec
@@ -59,12 +59,8 @@ class PopulationResult:
     dropped: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "scores": _jsonify(self.scores),
-            "metrics": list(self.metric_labels),
-            "representations": list(self.representation_labels),
-            "dropped": dict(self.dropped),
-        }
+        return _jsonify({"scores": self.scores, "metrics": self.metric_labels,
+                         "representations": self.representation_labels, "dropped": self.dropped})
 
 
 def _is_matrix(rep):
@@ -143,16 +139,11 @@ class ComparisonReport:
     disagreements: list
 
     def to_dict(self):
-        return {
-            "a": self.label_a,
-            "b": self.label_b,
-            "scores": {m: [float(x), float(y)] for m, (x, y) in self.scores.items()},
-            "preferred": dict(self.preferred),
-            "disagreements": [list(pair) for pair in self.disagreements],
-        }
+        return _jsonify({"a": self.label_a, "b": self.label_b, "scores": self.scores,
+                         "preferred": self.preferred, "disagreements": self.disagreements})
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
 
 def _load_work(rep):

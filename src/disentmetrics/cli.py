@@ -7,7 +7,6 @@ atomically (write-then-rename) so failed runs leave nothing behind.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -17,7 +16,8 @@ from .core import (
     DEFAULT_SEED,
     MetricsError,
     _atomic_write,
-    _jsonify,
+    _csv_text,
+    _json_text,
     load_dataset,
     load_matrix,
     reports_to_json,
@@ -72,12 +72,9 @@ def _reports_table(reports):
 
 
 def _reports_csv(reports):
-    lines = ["metric,score,skipped,skip_reason"]
-    for r in reports:
-        score = "" if r.score is None else repr(float(r.score))
-        reason = (r.skip_reason or "").replace(",", ";")
-        lines.append(f"{r.metric},{score},{r.skipped},{reason}")
-    return "\n".join(lines)
+    rows = [[r.metric, None if r.score is None else float(r.score), r.skipped,
+             r.skip_reason and r.skip_reason.replace(",", ";")] for r in reports]
+    return _csv_text([["metric", "score", "skipped", "skip_reason"], *rows])
 
 
 def _metric_selection(text):
@@ -132,9 +129,9 @@ def cmd_gen(args):
         "params": {key: type(defaults[key])(value) for key, value in spec.params.items()},
         "seed": spec.seed,
         "n": spec.n,
-        "ground_truth": _jsonify(info),
+        "ground_truth": info,
     }
-    _atomic_write(args.out + ".meta.json", [json.dumps(sidecar, indent=2, sort_keys=True) + "\n"])
+    _emit(_json_text(sidecar), args.out + ".meta.json")
     return 0
 
 
@@ -154,13 +151,10 @@ def cmd_reproduce(args):
     results = reproduce.run(args.case)
     rows = [r.row() for r in results]
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
+        _emit(_json_text(rows), args.out)
     elif args.format == "csv":
-        lines = ["case,seed,expected,tolerance,observed,status"]
-        for r in rows:
-            seed = "" if r["seed"] is None else r["seed"]
-            lines.append(f"{r['case']},{seed},{r['expected']},{r['tolerance']},{repr(r['observed'])},{r['status']}")
-        _emit("\n".join(lines), args.out)
+        columns = ["case", "seed", "expected", "tolerance", "observed", "status"]
+        _emit(_csv_text([columns] + [[r[c] for c in columns] for r in rows]), args.out)
     else:
         _emit(_repro_table(rows), args.out)
     return 0 if all(r["status"] == "PASS" for r in rows) else 1
@@ -181,12 +175,12 @@ def _parse_grid(text, flag):
 def cmd_sweep(args):
     eps_grid = _parse_grid(args.eps, "--eps")
     eps1_grid = _parse_grid(args.eps1, "--eps1")
-    lines = ["eps,eps1,three_charm,mig,dci"]
+    rows = [["eps", "eps1", "three_charm", "mig", "dci"]]
     for eps in eps_grid:
         for eps1 in eps1_grid:
             three, dci, mig = reproduce.parametric_scores(eps, eps1)
-            lines.append(f"{repr(eps)},{repr(eps1)},{repr(three)},{repr(mig)},{repr(dci)}")
-    _emit("\n".join(lines), args.out)
+            rows.append([eps, eps1, three, mig, dci])
+    _emit(_csv_text(rows), args.out)
     return 0
 
 
@@ -206,13 +200,10 @@ def cmd_correlate(args):
         importance_method=args.importance_method,
     )
     labels = population.metric_labels
-    lines = ["metric," + ",".join(labels)]
-    for i, name in enumerate(labels):
-        lines.append(name + "," + ",".join(repr(float(x)) for x in matrix[i]))
-    _emit("\n".join(lines), args.out)
+    _emit(_csv_text([["metric", *labels]] + [[name, *row] for name, row in zip(labels, matrix.tolist())]), args.out)
     pop_path = args.population_out or (args.out + ".population.json" if args.out else None)
     if pop_path:
-        _atomic_write(pop_path, [json.dumps(population.to_dict(), indent=2, sort_keys=True) + "\n"])
+        _emit(_json_text(population.to_dict()), pop_path)
     return 0
 
 

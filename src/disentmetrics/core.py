@@ -192,12 +192,6 @@ def _non_finite(names, values):
     return [ValidationIssue(names[j], int(r) + 1, "non-finite value") for j, r in zip(*bad)]
 
 
-def _missing_groups(dataset):
-    """An issue for a dataset with no factor columns, and one for a dataset with no latent columns."""
-    return [ValidationIssue(None, None, f"dataset has no {group} columns")
-            for group, count in (("factor", dataset.n_factors), ("latent", dataset.n_latents)) if count < 1]
-
-
 def _column_issues(dataset):
     """Every bad column of a dataset's arrays, in a fixed order: an empty column, a length
     mismatch, non-finite values (factors, then latents) and out-of-range discrete values."""
@@ -222,10 +216,10 @@ def _column_issues(dataset):
 
 
 def validate(dataset):
-    """Every issue of a dataset (empty = pass): a missing factor or latent group, then every bad
-    column (an empty column, a length mismatch, a non-finite value, a discrete value out of range).
-    Construction raises for a bad column, so on a dataset only a missing group can show."""
-    return _missing_groups(dataset) + _column_issues(dataset)
+    """Every issue of a dataset (empty = pass): an issue for no factor columns, and one for no
+    latent columns. Construction raises for every bad column, so none is left to list."""
+    return [ValidationIssue(None, None, f"dataset has no {group} columns")
+            for group, count in (("factor", dataset.n_factors), ("latent", dataset.n_latents)) if count < 1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +414,7 @@ def load_dataset(path, schema=None):
             raise ParseError("the header row is not UTF-8 text") from None
         raise ParseError(f"row {line - 1} is not UTF-8 text", row=line - 1) from None
     dataset = RepresentationDataset._adopt(z, c, factors, latents, cardinalities)
-    if issues := _missing_groups(dataset):
+    if issues := validate(dataset):
         raise ValidationError(issues)
     return dataset
 
@@ -631,11 +625,8 @@ def save_matrix(matrix, path):
     Line 1: ``K,N``; line 2: K factor entropies; then N comma-separated
     rows of K entries (row i = latent i).
     """
-    k, n = matrix.n_factors, matrix.n_latents
-    lines = [f"{k},{n}", ",".join(repr(float(h)) for h in matrix.factor_entropies)]
-    for i in range(n):
-        lines.append(",".join(repr(float(x)) for x in matrix.values[i]))
-    _atomic_write(path, [line + "\n" for line in lines])
+    rows = [[matrix.n_factors, matrix.n_latents], matrix.factor_entropies.tolist(), *matrix.values.tolist()]
+    _atomic_write(path, [_csv_text(rows) + "\n"])
 
 
 def load_matrix(path):
@@ -700,13 +691,17 @@ class RepresentationOracle:
         return RepresentationOracle(self.n_factors, self.n_latents, self._factor_sampler, self._encoder, seed)
 
     def sample_factors(self, n):
-        """n factor rows, (n, K), from the factor marginals."""
-        return self._factor_sampler(self._rng, int(n))
+        """n factor rows, (n, K), from the factor marginals; any other shape raises :class:`ValidationError`."""
+        n = int(n)
+        return _shaped(self._factor_sampler(self._rng, n), n, [f"z{j + 1}" for j in range(self.n_factors)],
+                       "factor sampler")
 
     def encode(self, z):
-        """The encoder's latents for factor rows z; a non-finite one raises :class:`ValidationError`."""
-        c = self._encoder(self._rng, z)
-        if issues := _non_finite([f"c{i + 1}" for i in range(c.shape[1])], c):
+        """The encoder's latents for factor rows z, (len(z), N); any other shape or a non-finite
+        latent raises :class:`ValidationError`."""
+        names = [f"c{i + 1}" for i in range(self.n_latents)]
+        c = _shaped(self._encoder(self._rng, z), len(z), names, "encoder")
+        if issues := _non_finite(names, c):
             raise ValidationError(issues)
         return c
 
@@ -725,12 +720,25 @@ class RepresentationOracle:
         return RepresentationDataset(*self.sample(n))
 
 
+def _shaped(values, rows, names, source):
+    """``values`` if it has ``rows`` rows and one column per name, else :class:`ValidationError`:
+    a length mismatch for each column if only the rows differ."""
+    shape = np.shape(values)
+    if len(shape) != 2 or shape[1] != len(names):
+        raise ValidationError([ValidationIssue(None, None, f"{source} returned shape {shape}, "
+                                                           f"expected ({rows}, {len(names)})")])
+    if shape[0] != rows:
+        raise ValidationError([ValidationIssue(name, None, "length mismatch") for name in names])
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Metric reports
 # ---------------------------------------------------------------------------
 
 
 def _jsonify(obj):
+    """``obj`` in plain JSON values: keys as strings, tuples and arrays as lists, numpy scalars as Python's."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -746,6 +754,17 @@ def _jsonify(obj):
     return obj
 
 
+def _json_text(obj):
+    """The JSON text of ``obj``, in the one format of every JSON document this package writes."""
+    return json.dumps(_jsonify(obj), indent=2, sort_keys=True)
+
+
+def _csv_text(rows):
+    """The CSV lines of ``rows``, with no end after the last: None as an empty cell, any other cell
+    as ``str`` writes it (a float's ``repr``). Every table but the dataset file is written so."""
+    return "\n".join(",".join("" if cell is None else str(cell) for cell in row) for row in rows)
+
+
 @dataclass
 class MetricReport:
     """One metric outcome: scalar score plus every intermediate quantity."""
@@ -759,18 +778,11 @@ class MetricReport:
     seed: int | None = None
 
     def to_dict(self):
-        return {
-            "metric": self.metric,
-            "score": None if self.score is None else float(self.score),
-            "skipped": bool(self.skipped),
-            "skip_reason": self.skip_reason,
-            "intermediates": _jsonify(self.intermediates),
-            "config": _jsonify(self.config),
-            "seed": self.seed,
-        }
+        """The report as plain JSON values (see :func:`_jsonify`), its score a float."""
+        return _jsonify({f.name: getattr(self, f.name) for f in fields(self)}
+                        | {"score": None if self.score is None else float(self.score)})
 
 
 def reports_to_json(reports):
     """Serialize one report or a list with stable, sorted keys."""
-    payload = reports.to_dict() if isinstance(reports, MetricReport) else [r.to_dict() for r in reports]
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return _json_text(reports.to_dict() if isinstance(reports, MetricReport) else [r.to_dict() for r in reports])

@@ -224,6 +224,9 @@ class ClassifierConfig:
     learning_rate: float = 0.1
     epochs: int = 500
 
+    def __post_init__(self):
+        _check_fields(self, learning_rate=0, epochs=1)
+
 
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:

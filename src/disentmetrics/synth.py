@@ -163,9 +163,11 @@ def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
                      seed=DEFAULT_SEED, return_info=False):
     """Disentangled dataset: c_i = f(z_perm(i)) + noise with an invertible
     per-dimension map (linear or cubic) over U[-1,1] factors and a seeded
-    permutation. ``return_info=True`` also returns the ground truth."""
+    permutation. ``return_info=True`` also returns the ground truth. A
+    negative or non-finite ``noise_std`` raises ValueError."""
     if n_factors < 2:
         raise ValueError("need at least 2 factors")
+    _in_range("noise_std", noise_std, "disentangled")
     if map_kind not in ("linear", "cubic"):
         raise ValueError(f"unknown map kind {map_kind!r}")
     rng = np.random.default_rng(seed)

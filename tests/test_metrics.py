@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 
 import numpy as np
@@ -665,6 +666,38 @@ def test_intervention_config_names_the_field_it_rejects(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
         InterventionConfig(**kwargs)
     assert InterventionConfig(train_points=np.int64(5), eval_points=1, batch_size=2).train_points == 5
+
+
+def test_a_report_scored_with_a_numpy_seed_writes_the_seed_as_a_json_integer():
+    config = InterventionConfig(train_points=200, eval_points=50, batch_size=8, seed=np.int64(3))
+    oracle = synth.gen_identity_oracle(n_factors=2, seed=0)
+    for reports in (evaluate_all(oracle, metrics=["betavae", "mig"], config=config), [beta_vae_score(oracle, config)]):
+        for written in json.loads(reports_to_json(reports)):  # MIG's config has no seed
+            seeds = [written["seed"], written["config"].get("seed", 3)]
+            assert seeds == [3, 3] and [type(seed) for seed in seeds] == [int, int]
+
+
+# an oracle whose sampler or encoder returns the wrong shape: each metric names it, whatever it scores
+_SHAPE_FAULTS = {
+    "wide sampler": (2, lambda rng, n: rng.random((n, 3)), lambda rng, z: z[:, :2].copy(),
+                     r"^factor sampler returned shape \(\d+, 3\), expected \(\d+, 2\)$"),
+    "short encoder": (2, lambda rng, n: rng.random((n, 2)), lambda rng, z: z[:-1].copy(),
+                      r"^length mismatch \[column c1\]; length mismatch \[column c2\]$"),
+    "narrow encoder": (5, lambda rng, n: rng.random((n, 2)), lambda rng, z: np.hstack([z, z[:, :1]]),
+                       r"^encoder returned shape \(\d+, 3\), expected \(\d+, 5\)$"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SHAPE_FAULTS))
+def test_an_oracle_metric_raises_for_a_sampler_or_encoder_of_the_wrong_shape(fault):
+    n_latents, sampler, encoder, shown = _SHAPE_FAULTS[fault]
+    oracle = RepresentationOracle(2, n_latents, sampler, encoder)
+    config = InterventionConfig(train_points=60, eval_points=20, batch_size=8)
+    for score in (beta_vae_score, factor_vae_score):
+        with pytest.raises(ValidationError, match=shown):
+            score(oracle, config)
+    with pytest.raises(ValidationError, match=shown):
+        oracle.sample(5)
 
 
 def test_evaluate_all_rejects_non_finite_oracle_latent():

@@ -253,6 +253,13 @@ def test_build_rejects_a_parameter_out_of_range(name, params, n, message):
         synth.build(GeneratorSpec(name, params, n=n))
 
 
+@pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+def test_gen_disentangled_rejects_a_negative_or_non_finite_noise_std(noise_std):
+    message = f"disentangled parameter noise_std must be finite and non-negative, got {noise_std!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.gen_disentangled(2, n=10, noise_std=noise_std)
+
+
 def test_build_accepts_the_ends_of_each_range():
     for name, params in (("identity", {"K": 1}), ("noise", {"K": 1, "N": 1}), ("disentangled", {"noise_std": 0}),
                          ("disentangled", {"K": 2}), ("entangled", {"K": 2}),
