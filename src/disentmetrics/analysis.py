@@ -11,6 +11,7 @@ from .core import (
     InformativenessMatrix,
     NotComputableError,
     RepresentationDataset,
+    _LOAD_BYTES_PER_US,
     _in_blocks,
     _json_text,
     _jsonify,
@@ -148,13 +149,13 @@ class ComparisonReport:
 
 def _load_work(rep):
     """The serial run time of resolving ``rep``, in microseconds, in the unit of the
-    CSV load's own estimate (32 bytes a microsecond): a dataset file's bytes or an
+    CSV load's own estimate (``core._LOAD_BYTES_PER_US``): a dataset file's bytes or an
     in-memory dataset's array bytes; nothing for a matrix, a spec or a missing file."""
     if isinstance(rep, RepresentationDataset):
-        return (rep.factors.nbytes + rep.latents.nbytes) // 32
+        return (rep.factors.nbytes + rep.latents.nbytes) // _LOAD_BYTES_PER_US
     if isinstance(rep, str) and not _is_matrix(rep):
         try:
-            return os.path.getsize(rep) // 32
+            return os.path.getsize(rep) // _LOAD_BYTES_PER_US
         except OSError:  # resolving it raises the error, in its turn
             return 0
     return 0

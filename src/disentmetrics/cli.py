@@ -8,6 +8,7 @@ atomically (write-then-rename) so failed runs leave nothing behind.
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .core import (
     reports_to_json,
     save_dataset,
 )
-from .estimators import BinningSpec
+from .estimators import BIN_STRATEGIES, IMPORTANCE_METHODS, BinningSpec
 from .metrics import InterventionConfig
 
 
@@ -40,8 +41,9 @@ def _flags(parser, seed=False, binning=False, fmt=None):
         parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"PRNG seed (default {DEFAULT_SEED}, fixed, never wall-clock)")
     if binning:
-        parser.add_argument("--bins", type=int, default=20, help="histogram bin count (default 20)")
-        parser.add_argument("--bin-strategy", choices=("quantile", "equal_width"), default="quantile")
+        parser.add_argument("--bins", type=int, default=BinningSpec.bin_count,
+                            help=f"histogram bin count (default {BinningSpec.bin_count})")
+        parser.add_argument("--bin-strategy", choices=BIN_STRATEGIES, default=BinningSpec.strategy)
     if fmt:
         parser.add_argument("--format", choices=("json", "csv", "table"), default=fmt,
                             help=f"output format (default {fmt})")
@@ -50,15 +52,6 @@ def _flags(parser, seed=False, binning=False, fmt=None):
 
 def _binning(args):
     return BinningSpec(strategy=args.bin_strategy, bin_count=args.bins)
-
-
-def _intervention(args):
-    return InterventionConfig(
-        train_points=args.train_points,
-        eval_points=args.eval_points,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
 
 
 def _reports_table(reports):
@@ -91,7 +84,8 @@ def cmd_eval(args):
     inputs = [x for x in (args.dataset, args.oracle, args.matrix) if x is not None]
     if len(inputs) != 1:
         raise ValueError("exactly one of --dataset, --oracle, or --matrix is required")
-    config = _intervention(args)  # before the oracle spec, whose n is --train-points
+    # before the oracle spec, whose n is --train-points; each field is the flag of its name
+    config = InterventionConfig(**{f.name: getattr(args, f.name) for f in fields(InterventionConfig)})
     if args.matrix:
         source = load_matrix(args.matrix)
     elif args.dataset:
@@ -238,10 +232,10 @@ def build_parser():
                         + "/".join(metrics.MATRIX_METRICS) + " directly)")
     p_eval.add_argument("--schema", help="sidecar schema file for the dataset")
     p_eval.add_argument("--metrics", help="comma-separated metric selection (default: all)")
-    p_eval.add_argument("--train-points", type=int, default=10000)
-    p_eval.add_argument("--eval-points", type=int, default=2000)
-    p_eval.add_argument("--batch-size", type=int, default=128)
-    p_eval.add_argument("--importance-method", choices=("forest", "lasso"), default="forest")
+    for f in fields(InterventionConfig):
+        if f.name != "seed":  # the shared --seed
+            p_eval.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+    p_eval.add_argument("--importance-method", choices=IMPORTANCE_METHODS, default=IMPORTANCE_METHODS[0])
     _flags(p_eval, seed=True, binning=True, fmt="json")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -249,7 +243,8 @@ def build_parser():
     p_gen.add_argument("--spec", required=True,
                        help="generator spec, e.g. entangled:level=0.5,K=5 (known: "
                             + ", ".join(sorted(synth.GENERATORS)) + ")")
-    p_gen.add_argument("--n", type=int, default=10000, help="sample count (default 10000)")
+    p_gen.add_argument("--n", type=int, default=synth.GeneratorSpec.n,
+                       help=f"sample count (default {synth.GeneratorSpec.n})")
     _flags(p_gen, seed=True)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -267,18 +262,18 @@ def build_parser():
 
     p_corr = sub.add_parser("correlate", help="Spearman correlation of metrics over entangled representations")
     p_corr.add_argument("--count", type=int, default=50)
-    p_corr.add_argument("--factors", type=int, default=4)
+    p_corr.add_argument("--factors", type=int, default=synth.GENERATORS["entangled"][0]["K"])
     p_corr.add_argument("--n", type=int, default=2000, help="samples per representation")
     p_corr.add_argument("--metrics", help="comma-separated metric selection (default: "
                         + ",".join(metrics.DATASET_METRICS) + ")")
-    p_corr.add_argument("--importance-method", choices=("forest", "lasso"), default="forest")
+    p_corr.add_argument("--importance-method", choices=IMPORTANCE_METHODS, default=IMPORTANCE_METHODS[0])
     p_corr.add_argument("--population-out", help="write the raw population JSON here")
     _flags(p_corr, seed=True, binning=True)
     p_corr.set_defaults(func=cmd_correlate)
 
     p_cmp = sub.add_parser("compare", help="per-metric preference between two representations")
     p_cmp.add_argument("inputs", nargs="*", help="two .matrix or .csv paths")
-    p_cmp.add_argument("--builtin", choices=("mig-vs-3charm", "dci-vs-3charm"),
+    p_cmp.add_argument("--builtin", choices=[case.replace("_", "-") for case in synth.COMPARISON_CASES],
                        help="use a built-in constructed matrix pair")
     p_cmp.add_argument("--metrics", help="comma-separated metric selection")
     _flags(p_cmp, binning=True)

@@ -29,6 +29,7 @@ the CPUs the outer fan-out's children leave free.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import itertools
@@ -80,15 +81,25 @@ class DegenerateLabelsError(MetricsError):
     """A classifier was asked to fit fewer than two classes."""
 
 
+def _at_least(name, value, low, whole=True):
+    """``value`` if it is an integer (``whole``) or a finite number, and at least ``low``;
+    ValueError naming ``name`` otherwise."""
+    if not (isinstance(value, numbers.Integral) if whole else
+            isinstance(value, numbers.Real) and math.isfinite(value)) or value < low:
+        raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'} >= {low}, got {value!r}")
+    return value
+
+
 def _check_fields(config, **least):
-    """Raise ValueError naming the first field of the dataclass ``config`` in ``least`` that is
-    not an integer (for an ``int`` field) or a finite number, or is below its value there."""
+    """:func:`_at_least` on each field of the dataclass ``config`` in ``least``, whole if ``int``."""
     types = {f.name: f.type for f in fields(config)}
     for name, low in least.items():
-        value, whole = getattr(config, name), types[name] is int
-        if not (isinstance(value, numbers.Integral) if whole else
-                isinstance(value, numbers.Real) and math.isfinite(value)) or value < low:
-            raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'} >= {low}, got {value!r}")
+        _at_least(name, getattr(config, name), low, types[name] is int)
+
+
+def _default_names(prefix, count):
+    """The names of ``count`` columns that have none: ``z1..`` for factors, ``c1..`` for latents."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 def _freeze(a, order="K", copy=True):
@@ -126,8 +137,8 @@ class RepresentationDataset:
         object.__setattr__(self, "factors", factors if k else _freeze(np.empty((latents.shape[0], 0))))
         object.__setattr__(self, "latents", latents if m else _freeze(np.empty((self.factors.shape[0], 0))))
         defaults = {
-            "factor_names": [f"z{j + 1}" for j in range(k)],
-            "latent_names": [f"c{i + 1}" for i in range(m)],
+            "factor_names": _default_names("z", k),
+            "latent_names": _default_names("c", m),
             "cardinalities": [None] * k,
         }
         for field_name, default in defaults.items():
@@ -419,6 +430,9 @@ def load_dataset(path, schema=None):
     return dataset
 
 
+# loaded CSV bytes per microsecond of _in_blocks work (measured above); compare counts a load so too
+_LOAD_BYTES_PER_US = 32
+
 # The most data rows one loadtxt call parses: a load holds Z, C and one piece this
 # long (160 KiB at 20 columns), and a forked block sends its rows in pieces this long.
 _PIECE_ROWS = 1024
@@ -461,7 +475,7 @@ def _read_table(path, schema):
             if rows is not None:  # Z and C first, then each piece copied into place as it arrives
                 size = os.path.getsize(path)
                 z, c = _in_blocks(lambda offsets: _parse_range(path, start, size, offsets),
-                                  size - start, (size - start) // 32,
+                                  size - start, (size - start) // _LOAD_BYTES_PER_US,
                                   lambda pieces: _filled(pieces, rows, takes, len(names)))
             else:  # read on from the header in one piece, then copy it
                 pieces = list(_parse_rows(fh, None, None))
@@ -679,8 +693,11 @@ class RepresentationOracle:
     """
 
     def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):
-        self.n_factors = int(n_factors)
-        self.n_latents = int(n_latents)
+        """``n_factors`` and ``n_latents`` must be integers >= 1 (ValueError naming the field)."""
+        self.n_factors = int(_at_least("n_factors", n_factors, 1))
+        self.n_latents = int(_at_least("n_latents", n_latents, 1))
+        self._factor_names = _default_names("z", self.n_factors)
+        self._latent_names = _default_names("c", self.n_latents)
         self._factor_sampler = factor_sampler
         self._encoder = encoder
         self.seed = seed
@@ -688,20 +705,21 @@ class RepresentationOracle:
 
     def reseeded(self, seed):
         """Same generative structure, fresh RNG stream."""
-        return RepresentationOracle(self.n_factors, self.n_latents, self._factor_sampler, self._encoder, seed)
+        oracle = copy.copy(self)
+        oracle.seed, oracle._rng = seed, np.random.default_rng(seed)
+        return oracle
 
     def sample_factors(self, n):
-        """n factor rows, (n, K), from the factor marginals; any other shape raises :class:`ValidationError`."""
-        n = int(n)
-        return _shaped(self._factor_sampler(self._rng, n), n, [f"z{j + 1}" for j in range(self.n_factors)],
-                       "factor sampler")
+        """n factor rows, (n, K), from the factor marginals; any other shape raises
+        :class:`ValidationError`, and an ``n`` that is not an integer >= 0 ValueError."""
+        n = int(_at_least("n", n, 0))
+        return _shaped(self._factor_sampler(self._rng, n), n, self._factor_names, "factor sampler")
 
     def encode(self, z):
         """The encoder's latents for factor rows z, (len(z), N); any other shape or a non-finite
         latent raises :class:`ValidationError`."""
-        names = [f"c{i + 1}" for i in range(self.n_latents)]
-        c = _shaped(self._encoder(self._rng, z), len(z), names, "encoder")
-        if issues := _non_finite(names, c):
+        c = _shaped(self._encoder(self._rng, z), len(z), self._latent_names, "encoder")
+        if issues := _non_finite(self._latent_names, c):
             raise ValidationError(issues)
         return c
 

@@ -26,6 +26,11 @@ from .core import (
 )
 
 BIN_STRATEGIES = ("quantile", "equal_width")
+# DCI's regressors, the default ("forest") first
+IMPORTANCE_METHODS = ("forest", "lasso")
+# the lasso's coordinate descent ends after LASSO_MAX_ITER sweeps or the first that moves no weight by LASSO_TOL
+LASSO_MAX_ITER = 1000
+LASSO_TOL = 1e-10
 
 
 def prescaled(v):
@@ -348,11 +353,9 @@ class ForestConfig:
 @dataclass(frozen=True)
 class LassoConfig:
     alpha: float = 0.01
-    max_iter: int = 1000
-    tol: float = 1e-10
 
     def __post_init__(self):
-        _check_fields(self, alpha=0, max_iter=1, tol=0)
+        _check_fields(self, alpha=0)
 
 
 def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
@@ -483,7 +486,7 @@ def _lasso_importances(latents, target, config):
     w = np.zeros(d)
     col_sq = (x * x).sum(axis=0) / n
     residual = y.copy()
-    for _ in range(config.max_iter):
+    for _ in range(LASSO_MAX_ITER):
         max_step = 0.0
         for j in range(d):
             if col_sq[j] == 0:
@@ -495,7 +498,7 @@ def _lasso_importances(latents, target, config):
                 residual -= x[:, j] * step
                 w[j] = new_w
                 max_step = max(max_step, abs(step))
-        if max_step < config.tol:
+        if max_step < LASSO_TOL:
             break
     r2 = max(0.0, 1.0 - float((residual * residual).mean()))
     return np.abs(w), r2
@@ -507,12 +510,12 @@ def importance_matrix_from_dataset(dataset, method="forest", config=None):
     plus the (K,) explained mass per factor."""
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
+    if method not in IMPORTANCE_METHODS:
+        raise ValueError(f"unknown importance method {method!r}")
     latents, targets = dataset.latent_matrix(), dataset.factors.T
     if method == "forest":
         raw, masses = _forest_importances(latents, targets, config or ForestConfig())
         columns = [r / math.fsum(r) if r.any() else r for r in raw]
-    elif method == "lasso":
-        columns, masses = zip(*(_lasso_importances(latents, t, config or LassoConfig()) for t in targets))
     else:
-        raise ValueError(f"unknown importance method {method!r}")
+        columns, masses = zip(*(_lasso_importances(latents, t, config or LassoConfig()) for t in targets))
     return np.column_stack(columns), np.array(masses)

@@ -209,7 +209,12 @@ def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_
     return dataset
 
 
-COMPARISON_CASES = ("mig_vs_3charm", "dci_vs_3charm")
+# case -> the (N, K) values of representations A and B, each with unit factor entropies
+_COMPARISON_PAIRS = {
+    "mig_vs_3charm": ([[1.0, 0.0], [0.95, 0.0], [0.0, 1.0], [0.0, 0.95]], [[0.8, 0.3], [0.3, 0.8]]),
+    "dci_vs_3charm": ([[0.8, 0.15], [0.15, 0.8]], [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.51, 0.49]]),
+}
+COMPARISON_CASES = tuple(_COMPARISON_PAIRS)
 
 
 def gen_comparison_matrices(case):
@@ -224,43 +229,9 @@ def gen_comparison_matrices(case):
     several one-hot latents all on the same factor plus one fully mixed row,
     leaving the other factor uncovered. DCI prefers B, 3CharM prefers A.
     """
-    if case == "mig_vs_3charm":
-        a = InformativenessMatrix(
-            np.array([
-                [1.0, 0.0],
-                [0.95, 0.0],
-                [0.0, 1.0],
-                [0.0, 0.95],
-            ]),
-            np.ones(2),
-        )
-        b = InformativenessMatrix(
-            np.array([
-                [0.8, 0.3],
-                [0.3, 0.8],
-            ]),
-            np.ones(2),
-        )
-        return a, b
-    if case == "dci_vs_3charm":
-        a = InformativenessMatrix(
-            np.array([
-                [0.8, 0.15],
-                [0.15, 0.8],
-            ]),
-            np.ones(2),
-        )
-        b = InformativenessMatrix(
-            np.array([
-                [1.0, 0.0],
-                [1.0, 0.0],
-                [1.0, 0.0],
-                [0.51, 0.49],
-            ]),
-            np.ones(2),
-        )
-        return a, b
-    raise ValueError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")
+    if case not in _COMPARISON_PAIRS:
+        raise ValueError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")
+    return tuple(InformativenessMatrix(np.array(values), np.ones(2)) for values in _COMPARISON_PAIRS[case])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +253,7 @@ class GeneratorSpec:
         return f"{self.name}({inner})#seed={self.seed},n={self.n}"
 
 
-def parse_spec_string(text, seed=DEFAULT_SEED, n=10000):
+def parse_spec_string(text, seed=DEFAULT_SEED, n=GeneratorSpec.n):
     """Parse ``name:key=value,key=value`` into a GeneratorSpec; ``seed`` and
     ``n`` keys override the defaults."""
     name, _, tail = text.partition(":")
@@ -321,10 +292,10 @@ _LEAST_SIZES = {("disentangled", "K"): 2, ("entangled", "K"): 2}
 def _in_range(key, value, name):
     """``value`` if it lies in the range of parameter ``key``: sizes (K, N,
     n) at least 1 (K at least 2 for ``disentangled`` and ``entangled``),
-    ``noise_std`` finite and non-negative, ``level`` in [0, 1]; ValueError
-    naming the parameter and the generator otherwise."""
-    least = _LEAST_SIZES.get((name, key), 1)
-    if key in ("K", "N", "n") and value < least:
+    ``seed`` at least 0, ``noise_std`` finite and non-negative, ``level`` in
+    [0, 1]; ValueError naming the parameter and the generator otherwise."""
+    least = 0 if key == "seed" else _LEAST_SIZES.get((name, key), 1)
+    if key in ("K", "N", "n", "seed") and value < least:
         raise ValueError(f"{name} parameter {key} must be at least {least}, got {value!r}")
     if key == "noise_std" and not 0.0 <= value < math.inf:
         raise ValueError(f"{name} parameter {key} must be finite and non-negative, got {value!r}")
@@ -357,7 +328,7 @@ def build(spec):
     """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
     An unknown generator, a parameter it does not read, a value the type
     of the parameter's default does not admit, or a value outside the
-    parameter's range (see :func:`_in_range`; ``n`` included) raises ValueError."""
+    parameter's range (see :func:`_in_range`; ``n`` and ``seed`` included) raises ValueError."""
     if spec.name not in GENERATORS:
         raise ValueError(f"unknown generator {spec.name!r} (known: {', '.join(sorted(GENERATORS))})")
     defaults, builder = GENERATORS[spec.name]
@@ -368,6 +339,7 @@ def build(spec):
     params = {key: _in_range(key, _cast(value, type(defaults[key]), key, spec.name), spec.name)
               for key, value in spec.params.items()}
     _in_range("n", spec.n, spec.name)
+    _in_range("seed", spec.seed, spec.name)
     return builder({**defaults, **params}, spec)
 
 

@@ -1,12 +1,20 @@
 import argparse
+import contextlib
+import inspect
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disentmetrics import synth
+from disentmetrics import analysis, metrics, synth
 from disentmetrics.cli import build_parser, main
 from disentmetrics.core import load_dataset, save_dataset, save_matrix
+from disentmetrics.estimators import BIN_STRATEGIES, IMPORTANCE_METHODS, BinningSpec
+from disentmetrics.metrics import InterventionConfig
 from disentmetrics.reproduce import CASES
 from test_core import _force_workers
 
@@ -129,6 +137,34 @@ def test_gen_rejects_a_parameter_out_of_range(tmp_path, capsys, spec, message):
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# small values of every kind a parameter may get wrong; none sizes anything above 3 (n at most 20)
+_PROBES = st.sampled_from([0, 1, 2, 3, -1, -2, 0.5, 2.5, -0.5, float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _generator_specs(draw):
+    name = draw(st.sampled_from(sorted(synth.GENERATORS)))
+    return name, draw(st.dictionaries(st.sampled_from([*synth.GENERATORS[name][0], "n", "seed"]), _PROBES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_specs())
+def test_gen_either_refuses_a_parameter_by_name_or_writes_a_loadable_file(case):
+    name, params = case
+    spec = name + (":" + ",".join(f"{key}={value}" for key, value in params.items()) if params else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = os.path.join(tmp, "g.csv"), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["gen", "--spec", spec, "--n", "20", "--out", out])
+        if code == 0:
+            assert load_dataset(out).n == params.get("n", 20)
+        else:
+            assert code == 1 and os.listdir(tmp) == []
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1
+            assert any(f"{name} parameter {key} must " in message for key in params), message
 
 
 @pytest.mark.parametrize("message, shown", [
@@ -392,3 +428,27 @@ def test_removed_flag_is_a_usage_error(command, flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _action(command, dest):
+    (action,) = [a for a in _subparsers()[command]._actions if a.dest == dest]
+    return action
+
+
+def test_flag_defaults_and_choices_are_the_library_values():
+    binning, config = BinningSpec(), InterventionConfig()
+    for command in ("eval", "correlate", "compare"):
+        bins, strategy = _action(command, "bins"), _action(command, "bin_strategy")
+        assert bins.default == binning.bin_count and bins.help.endswith(f"(default {binning.bin_count})")
+        assert (strategy.default, tuple(strategy.choices)) == (binning.strategy, BIN_STRATEGIES)
+    for field in ("train_points", "eval_points", "batch_size"):
+        assert _action("eval", field).default == getattr(config, field)
+    for command, scorer in (("eval", metrics.evaluate_all), ("correlate", analysis.correlate_metrics)):
+        method = _action(command, "importance_method")
+        assert tuple(method.choices) == IMPORTANCE_METHODS
+        assert method.default == inspect.signature(scorer).parameters["importance_method"].default
+    n = synth.GeneratorSpec("identity").n
+    assert _action("gen", "n").default == n == synth.parse_spec_string("identity").n
+    assert _action("gen", "n").help.endswith(f"(default {n})")
+    assert _action("correlate", "factors").default == synth.GENERATORS["entangled"][0]["K"]
+    assert [case.replace("-", "_") for case in _action("compare", "builtin").choices] == list(synth.COMPARISON_CASES)

@@ -852,6 +852,36 @@ def test_oracle_seed_reproducibility():
     assert np.array_equal(z1, z3)
 
 
+def _uniform_oracle(n_factors, n_latents):
+    return RepresentationOracle(n_factors, n_latents, lambda rng, n: rng.random((n, 2)), lambda rng, z: z.copy())
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: _uniform_oracle(2.7, 2), "n_factors"),
+    (lambda: _uniform_oracle(0, 2), "n_factors"),
+    (lambda: _uniform_oracle("2", 2), "n_factors"),
+    (lambda: _uniform_oracle(2, -1), "n_latents"),
+    (lambda: _uniform_oracle(2, 2.0), "n_latents"),
+    (lambda: _uniform_oracle(2, None), "n_latents"),
+    (lambda: synth.gen_identity_oracle(n_factors=0), "n_factors"),
+    (lambda: synth.gen_noise_oracle(n_latents=0), "n_latents"),
+])
+def test_an_oracle_needs_whole_sizes_of_at_least_one(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+        build()
+
+
+def test_oracle_sample_factors_needs_a_whole_count_of_at_least_zero():
+    oracle = _uniform_oracle(np.int64(2), np.uint8(2))
+    assert (type(oracle.n_factors), type(oracle.n_latents)) == (int, int)
+    for n in (2.7, -1, "3"):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+            oracle.sample_factors(n)
+    assert oracle.sample_factors(np.int64(0)).shape == (0, 2)
+    z, c = oracle.reseeded(3).sample(np.int32(4))
+    assert z.shape == c.shape == (4, 2)
+
+
 def test_report_json_stable():
     report = MetricReport("mig", 0.5, intermediates={"gaps": np.array([0.5, 0.25])}, seed=7)
     text = reports_to_json(report)

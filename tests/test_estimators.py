@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -657,8 +658,6 @@ def test_forest_config_accepts_edges():
     (lambda: LassoConfig(alpha=np.nan), "alpha"),
     (lambda: LassoConfig(alpha=np.inf), "alpha"),
     (lambda: LassoConfig(alpha="0.1"), "alpha"),
-    (lambda: LassoConfig(max_iter=10.5), "max_iter"),
-    (lambda: LassoConfig(tol=np.nan), "tol"),
     (lambda: ClassifierConfig(learning_rate=np.nan), "learning_rate"),
     (lambda: ClassifierConfig(learning_rate=-0.1), "learning_rate"),
     (lambda: ClassifierConfig(epochs=2.5), "epochs"),
@@ -672,8 +671,15 @@ def test_configs_name_the_field_they_reject(build, field):
 def test_configs_accept_numpy_integers_and_a_zero_alpha():
     assert BinningSpec(bin_count=np.int64(5)).bin_count == 5
     assert ForestConfig(n_trees=np.int32(3), max_depth=np.int64(2), seed=np.uint32(7)).max_depth == 2
-    assert LassoConfig(alpha=0, max_iter=np.int64(10), tol=0.0).alpha == 0
+    assert LassoConfig(alpha=0).alpha == 0
     assert ClassifierConfig(learning_rate=0, epochs=np.int64(3)).epochs == 3
+
+
+def test_lasso_config_holds_only_alpha():
+    assert [f.name for f in fields(LassoConfig)] == ["alpha"]
+    for removed in ("max_iter", "tol"):
+        with pytest.raises(TypeError):
+            LassoConfig(**{removed: 1})
 
 
 def test_lasso_single_informative_feature():
