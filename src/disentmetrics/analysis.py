@@ -16,7 +16,7 @@ from .core import (
     _json_text,
     _jsonify,
 )
-from .estimators import BinningSpec
+from .estimators import IMPORTANCE_METHODS, BinningSpec
 from . import metrics as metrics_mod
 from . import synth
 
@@ -88,7 +88,8 @@ def _rep_label(rep, index):
     return f"rep_{index}"
 
 
-def correlate_metrics(population, metrics=None, binning=BinningSpec(), importance_method="forest"):
+def correlate_metrics(population, metrics=None, binning=BinningSpec(),
+                      importance_method=IMPORTANCE_METHODS[0]):
     """Evaluate every metric on every representation, then return the
     metric-by-metric Spearman matrix together with the raw population.
 

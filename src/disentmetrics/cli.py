@@ -117,10 +117,9 @@ def cmd_gen(args):
     spec = synth.parse_spec_string(args.spec, seed=args.seed, n=args.n)
     dataset, info = synth.dataset_from_spec(spec)
     save_dataset(dataset, args.out)
-    defaults = synth.GENERATORS[spec.name][0]  # each parameter as the generator read it: a flag is a bool
     sidecar = {
         "generator": spec.name,
-        "params": {key: type(defaults[key])(value) for key, value in spec.params.items()},
+        "params": spec.params,  # each parameter as the generator read it: a flag is a bool
         "seed": spec.seed,
         "n": spec.n,
         "ground_truth": info,
@@ -179,10 +178,8 @@ def cmd_sweep(args):
 
 
 def cmd_correlate(args):
-    count = args.count
-    if count < 5:
-        raise ValueError("need at least 5 representations")
-    levels = np.linspace(0.0, 1.0, count)
+    # a negative count gives no representation, which correlate_metrics refuses
+    levels = np.linspace(0.0, 1.0, max(args.count, 0))
     specs = [
         synth.GeneratorSpec("entangled", {"level": float(lv), "K": args.factors},
                             seed=args.seed + i, n=args.n)
@@ -205,7 +202,7 @@ def cmd_compare(args):
     if args.builtin and args.inputs:
         raise ValueError("compare takes two input paths or --builtin, not both")
     if args.builtin:
-        rep_a, rep_b = synth.gen_comparison_matrices(args.builtin.replace("-", "_"))
+        rep_a, rep_b = synth.gen_comparison_matrices(args.builtin)
         labels = (f"{args.builtin}:a", f"{args.builtin}:b")
     else:
         if not args.inputs or len(args.inputs) != 2:
@@ -273,7 +270,7 @@ def build_parser():
 
     p_cmp = sub.add_parser("compare", help="per-metric preference between two representations")
     p_cmp.add_argument("inputs", nargs="*", help="two .matrix or .csv paths")
-    p_cmp.add_argument("--builtin", choices=[case.replace("_", "-") for case in synth.COMPARISON_CASES],
+    p_cmp.add_argument("--builtin", choices=synth.COMPARISON_CASES,
                        help="use a built-in constructed matrix pair")
     p_cmp.add_argument("--metrics", help="comma-separated metric selection")
     _flags(p_cmp, binning=True)

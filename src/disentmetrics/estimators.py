@@ -504,7 +504,7 @@ def _lasso_importances(latents, target, config):
     return np.abs(w), r2
 
 
-def importance_matrix_from_dataset(dataset, method="forest", config=None):
+def importance_matrix_from_dataset(dataset, method=IMPORTANCE_METHODS[0], config=None):
     """(N, K) importance matrix (column j: each latent's importance for
     factor j, summing to 1 for the forest, all zeros for a constant factor)
     plus the (K,) explained mass per factor."""

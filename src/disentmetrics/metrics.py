@@ -25,7 +25,7 @@ from .core import (
     _in_blocks,
 )
 from . import estimators
-from .estimators import BinningSpec, ClassifierConfig
+from .estimators import IMPORTANCE_METHODS, BinningSpec, ClassifierConfig
 
 FACTORVAE_REFERENCE_DRAWS = 10000
 # factor rows per oracle call when drawing BetaVAE/FactorVAE batches
@@ -284,7 +284,7 @@ def dci_score(importances):
     )
 
 
-def dci_from_dataset(dataset, method="forest"):
+def dci_from_dataset(dataset, method=IMPORTANCE_METHODS[0]):
     """DCI with the importance matrix estimated from data (one regressor
     per factor). Flags the report when the regressors explain almost none
     of the factor variance."""
@@ -448,7 +448,7 @@ DATASET_METRICS = tuple(name for name, (needs, _) in METRICS.items() if needs !=
 
 
 def evaluate_all(source, metrics=None, config=InterventionConfig(),
-                 binning=BinningSpec(), importance_method="forest"):
+                 binning=BinningSpec(), importance_method=IMPORTANCE_METHODS[0]):
     """Run the selected metrics on a dataset, an oracle or an
     informativeness matrix.
 

@@ -49,14 +49,14 @@ class ReproResult:
         }
 
 
-def _betavae(seed):
-    oracle = synth.gen_betavae_counterexample(seed=seed)
-    return metrics.beta_vae_score(oracle, InterventionConfig(seed=seed)).score
+def _scored(generator, metric):
+    """Runner: ``metric`` on the registered ``generator``, built and scored at the seed."""
 
+    def run(seed):
+        source = synth.build(synth.GeneratorSpec(generator, seed=seed))[0]
+        return metrics.evaluate_all(source, [metric], config=InterventionConfig(seed=seed))[0].score
 
-def _factorvae(seed):
-    oracle = synth.gen_factorvae_counterexample(seed=seed)
-    return metrics.factor_vae_score(oracle, InterventionConfig(seed=seed)).score
+    return run
 
 
 def _dci_eleven(_seed):
@@ -67,25 +67,12 @@ def _dci_two(_seed):
     return metrics.dci_score(synth.gen_dci_matrix("two_factor")).score
 
 
-def _sap_nonlinear(seed):
-    return metrics.sap_score(synth.gen_sap_nonlinear(seed=seed)).score
-
-
-def _sap_duplicate(seed):
-    return metrics.sap_score(synth.gen_sap_duplicate(seed=seed)).score
-
-
 def parametric_scores(eps, eps1):
-    """(3charm, dci, mig) of the two-parameter matrix."""
-    matrix = synth.gen_parametric_matrix(eps, eps1)
-    three = metrics.three_charm_score(matrix).score
-    mig = metrics.mig_score(matrix).score
-    total = eps + eps1
-    if total > 0:
-        dci = metrics.dci_score(matrix.values).score
-    else:
-        dci = 0.0
-    return three, dci, mig
+    """(3charm, dci, mig) of the two-parameter matrix; DCI is 0.0 on the
+    all-zero matrix (eps = eps1 = 0), where it is skipped."""
+    reports = {r.metric: r for r in metrics.evaluate_all(synth.gen_parametric_matrix(eps, eps1))}
+    dci = reports["dci"]
+    return reports["3charm"].score, 0.0 if dci.skipped else dci.score, reports["mig"].score
 
 
 def _parametric_closed_forms(seed):
@@ -134,10 +121,10 @@ CASES = {
     for case in (
         ReproCase("betavae-fails-p2",
                   "entangled random-copy latents still classified almost perfectly",
-                  0.9967, 0.02, _betavae, REPRO_SEEDS),
+                  0.9967, 0.02, _scored("betavae-counterexample", "betavae"), REPRO_SEEDS),
         ReproCase("factorvae-fails-p2",
                   "entangled linear mixing scores a perfect variance signature",
-                  1.0, 0.02, _factorvae, REPRO_SEEDS),
+                  1.0, 0.02, _scored("factorvae-counterexample", "factorvae"), REPRO_SEEDS),
         ReproCase("dci-eleven-factor",
                   "11x11 importances, diagonal 0.8 / off-diagonal 0.02",
                   0.600, 0.005, _dci_eleven, (None,)),
@@ -146,11 +133,11 @@ CASES = {
                   0.957, 0.001, _dci_two, (None,)),
         ReproCase("sap-nonlinear",
                   "c = z^15 capture defeats linear informativeness",
-                  0.32, 0.05, _sap_nonlinear, REPRO_SEEDS),
+                  0.32, 0.05, _scored("sap-nonlinear", "sap"), REPRO_SEEDS),
         ReproCase("sap-duplicate",
                   "redundant z^25 carrier barely dents the linear gaps; checks the "
                   "U[-1,1] closed form 1 - corr^2(z1, z1^25 + z2^25), not the published 0.98",
-                  1 - (1 / 27) ** 2 / ((1 / 3) * (2 / 51)), 0.02, _sap_duplicate, REPRO_SEEDS),
+                  1 - (1 / 27) ** 2 / ((1 / 3) * (2 / 51)), 0.02, _scored("sap-duplicate", "sap"), REPRO_SEEDS),
         ReproCase("parametric-closed-forms",
                   "3CharM = eps and MIG = |eps - eps1| on 20 random pairs (max deviation)",
                   0.0, 1e-9, _parametric_closed_forms, (7,)),

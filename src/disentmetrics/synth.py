@@ -164,9 +164,9 @@ def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
     """Disentangled dataset: c_i = f(z_perm(i)) + noise with an invertible
     per-dimension map (linear or cubic) over U[-1,1] factors and a seeded
     permutation. ``return_info=True`` also returns the ground truth. A
-    negative or non-finite ``noise_std`` raises ValueError."""
-    if n_factors < 2:
-        raise ValueError("need at least 2 factors")
+    ``n_factors`` below 2 or a negative or non-finite ``noise_std`` raises
+    ValueError."""
+    _in_range("K", n_factors, "disentangled")
     _in_range("noise_std", noise_std, "disentangled")
     if map_kind not in ("linear", "cubic"):
         raise ValueError(f"unknown map kind {map_kind!r}")
@@ -191,11 +191,10 @@ def _random_orthogonal(n_dims, rng):
 def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_info=False):
     """One-knob entanglement family: mixes the permuted identity map
     (level 0) with a dense seeded random orthogonal matrix (level 1);
-    c = z @ M(level)^T over U[-1,1] factors."""
-    if not 0.0 <= level <= 1.0:
-        raise ValueError("level must lie in [0, 1]")
-    if n_factors < 2:
-        raise ValueError("need at least 2 factors")
+    c = z @ M(level)^T over U[-1,1] factors. A ``level`` outside [0, 1] or
+    ``n_factors`` below 2 raises ValueError."""
+    _in_range("level", level, "entangled")
+    _in_range("K", n_factors, "entangled")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_factors)
     p = np.eye(n_factors)[perm]
@@ -211,8 +210,8 @@ def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_
 
 # case -> the (N, K) values of representations A and B, each with unit factor entropies
 _COMPARISON_PAIRS = {
-    "mig_vs_3charm": ([[1.0, 0.0], [0.95, 0.0], [0.0, 1.0], [0.0, 0.95]], [[0.8, 0.3], [0.3, 0.8]]),
-    "dci_vs_3charm": ([[0.8, 0.15], [0.15, 0.8]], [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.51, 0.49]]),
+    "mig-vs-3charm": ([[1.0, 0.0], [0.95, 0.0], [0.0, 1.0], [0.0, 0.95]], [[0.8, 0.3], [0.3, 0.8]]),
+    "dci-vs-3charm": ([[0.8, 0.15], [0.15, 0.8]], [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.51, 0.49]]),
 }
 COMPARISON_CASES = tuple(_COMPARISON_PAIRS)
 
@@ -221,11 +220,11 @@ def gen_comparison_matrices(case):
     """Fixed matrix pairs on which two metrics rank the representations in
     opposite orders.
 
-    ``mig_vs_3charm``: A has one perfect carrier per factor plus a nearly
+    ``mig-vs-3charm``: A has one perfect carrier per factor plus a nearly
     identical redundant copy (gap collapses, assignments do not); B has
     compact but cross-contaminated carriers. MIG prefers B, 3CharM prefers A.
 
-    ``dci_vs_3charm``: A has a clean-but-imperfect carrier per factor; B has
+    ``dci-vs-3charm``: A has a clean-but-imperfect carrier per factor; B has
     several one-hot latents all on the same factor plus one fully mixed row,
     leaving the other factor uncovered. DCI prefers B, 3CharM prefers A.
     """
@@ -241,12 +240,34 @@ def gen_comparison_matrices(case):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Name + parameters + (seed, n) identifying one generated object."""
+    """Name + parameters + (seed, n) identifying one generated object.
+
+    Valid by construction: an unknown generator, a parameter it does not
+    read, a value the type of the parameter's default does not admit, or a
+    value outside the parameter's range (see :func:`_in_range`; ``n`` and
+    ``seed`` included) raises ValueError here. ``params``, ``seed`` and
+    ``n`` hold the cast values (a flag is a bool)."""
 
     name: str
     params: dict = field(default_factory=dict)
     seed: int = DEFAULT_SEED
     n: int = 10000
+
+    def __post_init__(self):
+        name = self.name
+        if name not in GENERATORS:
+            raise ValueError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
+        seed, n = _cast(self.seed, int, "seed", name), _cast(self.n, int, "n", name)
+        defaults = GENERATORS[name][0]
+        for key in self.params:
+            if key not in defaults:
+                known = ", ".join(defaults) or "none"
+                raise ValueError(f"unknown parameter {key!r} for generator {name!r} (known: {known})")
+        params = {key: _in_range(key, _cast(value, type(defaults[key]), key, name), name)
+                  for key, value in self.params.items()}
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "n", _in_range("n", n, name))
+        object.__setattr__(self, "seed", _in_range("seed", seed, name))
 
     def label(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -254,8 +275,8 @@ class GeneratorSpec:
 
 
 def parse_spec_string(text, seed=DEFAULT_SEED, n=GeneratorSpec.n):
-    """Parse ``name:key=value,key=value`` into a GeneratorSpec; ``seed`` and
-    ``n`` keys override the defaults."""
+    """Parse ``name:key=value,key=value`` into a GeneratorSpec, which checks
+    it; ``seed`` and ``n`` keys override the defaults."""
     name, _, tail = text.partition(":")
     params = {}
     if tail:
@@ -268,10 +289,7 @@ def parse_spec_string(text, seed=DEFAULT_SEED, n=GeneratorSpec.n):
             except ValueError:
                 value = float(value)  # a decimal point, an exponent, nan or inf
             params[key.strip()] = value
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
-    seed = _cast(params.pop("seed", seed), int, "seed", name)
-    n = _cast(params.pop("n", n), int, "n", name)
+    seed, n = params.pop("seed", seed), params.pop("n", n)
     return GeneratorSpec(name=name, params=params, seed=seed, n=n)
 
 
@@ -325,22 +343,10 @@ ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", 
 
 
 def build(spec):
-    """Instantiate a GeneratorSpec; returns (object, ground-truth metadata).
-    An unknown generator, a parameter it does not read, a value the type
-    of the parameter's default does not admit, or a value outside the
-    parameter's range (see :func:`_in_range`; ``n`` and ``seed`` included) raises ValueError."""
-    if spec.name not in GENERATORS:
-        raise ValueError(f"unknown generator {spec.name!r} (known: {', '.join(sorted(GENERATORS))})")
+    """Instantiate a GeneratorSpec, valid by construction; returns (object,
+    ground-truth metadata)."""
     defaults, builder = GENERATORS[spec.name]
-    for key in spec.params:
-        if key not in defaults:
-            known = ", ".join(defaults) or "none"
-            raise ValueError(f"unknown parameter {key!r} for generator {spec.name!r} (known: {known})")
-    params = {key: _in_range(key, _cast(value, type(defaults[key]), key, spec.name), spec.name)
-              for key, value in spec.params.items()}
-    _in_range("n", spec.n, spec.name)
-    _in_range("seed", spec.seed, spec.name)
-    return builder({**defaults, **params}, spec)
+    return builder({**defaults, **spec.params}, spec)
 
 
 def dataset_from_spec(spec):

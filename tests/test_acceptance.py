@@ -207,14 +207,14 @@ def test_criterion_7_rank_correlation_population():
 
 
 def test_criterion_8_comparison_disagreements():
-    a1, b1 = synth.gen_comparison_matrices("mig_vs_3charm")
+    a1, b1 = synth.gen_comparison_matrices("mig-vs-3charm")
     r1 = analysis.compare(a1, b1, metrics=["mig", "3charm"])
     mig_vs = (
         r1.preferred["mig"] == "b"
         and r1.preferred["3charm"] == "a"
         and ("mig", "3charm") in r1.disagreements
     )
-    a2, b2 = synth.gen_comparison_matrices("dci_vs_3charm")
+    a2, b2 = synth.gen_comparison_matrices("dci-vs-3charm")
     r2 = analysis.compare(a2, b2, metrics=["3charm", "dci"])
     dci_vs = (
         r2.preferred["dci"] == "b"

@@ -144,14 +144,14 @@ def test_correlate_metrics_drops_incomputable_with_reason():
 
 
 def test_compare_identical_inputs_no_preference():
-    m, _ = synth.gen_comparison_matrices("mig_vs_3charm")
+    m, _ = synth.gen_comparison_matrices("mig-vs-3charm")
     report = compare(m, m, metrics=["mig", "3charm", "dci"])
     assert all(p is None for p in report.preferred.values())
     assert report.disagreements == []
 
 
 def test_compare_mig_vs_3charm_directions():
-    a, b = synth.gen_comparison_matrices("mig_vs_3charm")
+    a, b = synth.gen_comparison_matrices("mig-vs-3charm")
     report = compare(a, b, metrics=["mig", "3charm"])
     assert report.preferred["mig"] == "b"
     assert report.preferred["3charm"] == "a"
@@ -162,7 +162,7 @@ def test_compare_mig_vs_3charm_directions():
 
 
 def test_compare_dci_vs_3charm_directions():
-    a, b = synth.gen_comparison_matrices("dci_vs_3charm")
+    a, b = synth.gen_comparison_matrices("dci-vs-3charm")
     report = compare(a, b, metrics=["3charm", "dci"])
     assert report.preferred["dci"] == "b"
     assert report.preferred["3charm"] == "a"
@@ -172,7 +172,7 @@ def test_compare_dci_vs_3charm_directions():
 
 
 def test_compare_rejects_dataset_metric_on_matrix():
-    a, b = synth.gen_comparison_matrices("mig_vs_3charm")
+    a, b = synth.gen_comparison_matrices("mig-vs-3charm")
     with pytest.raises(NotComputableError) as err:
         compare(a, b, metrics=["sap"])
     assert "sap" in str(err.value)

@@ -4,16 +4,20 @@ import inspect
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import disentmetrics
 from disentmetrics import analysis, metrics, synth
 from disentmetrics.cli import build_parser, main
 from disentmetrics.core import load_dataset, save_dataset, save_matrix
-from disentmetrics.estimators import BIN_STRATEGIES, IMPORTANCE_METHODS, BinningSpec
+from disentmetrics.estimators import BIN_STRATEGIES, IMPORTANCE_METHODS, BinningSpec, importance_matrix_from_dataset
 from disentmetrics.metrics import InterventionConfig
 from disentmetrics.reproduce import CASES
 from test_core import _force_workers
@@ -167,6 +171,41 @@ def test_gen_either_refuses_a_parameter_by_name_or_writes_a_loadable_file(case):
             assert any(f"{name} parameter {key} must " in message for key in params), message
 
 
+# one fault (or two, to pin which is reported first) per row: generator, parameters, seed, n, the message
+@pytest.mark.parametrize("name, params, seed, n, message", [
+    ("nosuch", {"K": 0}, -1, 0, f"unknown generator 'nosuch' (known: {', '.join(sorted(synth.GENERATORS))})"),
+    ("entangled", {"level": 2, "levle": 0.9}, 7, 20,
+     "unknown parameter 'levle' for generator 'entangled' (known: level, K)"),
+    ("sap-nonlinear", {"K": 2}, 7, 20, "unknown parameter 'K' for generator 'sap-nonlinear' (known: none)"),
+    ("identity", {"K": 2.5}, 7, 20, "identity parameter K must be an integer, got 2.5"),
+    ("disentangled", {"cubic": 2}, 7, 20, "disentangled parameter cubic must be 0 or 1, got 2"),
+    ("noise", {"N": 0}, 7, 20, "noise parameter N must be at least 1, got 0"),
+    ("entangled", {"level": 1.5}, 7, 20, "entangled parameter level must lie in [0, 1], got 1.5"),
+    ("disentangled", {"noise_std": -1}, 7, 20,
+     "disentangled parameter noise_std must be finite and non-negative, got -1.0"),
+    ("disentangled", {"K": 1}, 7, 20, "disentangled parameter K must be at least 2, got 1"),
+    ("identity", {"K": 0}, 1.5, 20, "identity parameter seed must be an integer, got 1.5"),
+    ("identity", {"K": 0}, -1, 0, "identity parameter K must be at least 1, got 0"),
+    ("identity", {}, -1, 0, "identity parameter n must be at least 1, got 0"),
+    ("betavae-counterexample", {}, -1, 20, "betavae-counterexample parameter seed must be at least 0, got -1"),
+    ("sap-duplicate", {}, 7, 2.5, "sap-duplicate parameter n must be an integer, got 2.5"),
+])
+def test_a_generator_fault_gives_one_message_on_every_path(tmp_path, capsys, name, params, seed, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.GeneratorSpec(name, params, seed=seed, n=n)
+    text = name + ":" + ",".join(f"{key}={value}" for key, value in {**params, "seed": seed, "n": n}.items())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.parse_spec_string(text)
+    assert run(["gen", "--spec", text, "--out", str(tmp_path / "g.csv")], capsys) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+    if name in synth.ORACLE_GENERATOR_NAMES and not params:
+        # eval's InterventionConfig refuses the same --seed and --train-points before the spec is built
+        with pytest.raises(ValueError) as refused:
+            InterventionConfig(train_points=n, seed=seed)
+        argv = ["eval", "--oracle", name, "--seed", str(seed), "--train-points", str(n)]
+        assert run(argv, capsys) == (1, "", f"error: {refused.value}\n")
+
+
 @pytest.mark.parametrize("message, shown", [
     ("Unable to allocate 7.45 TiB for an array with shape (100000000, 10000)",
      " (Unable to allocate 7.45 TiB for an array with shape (100000000, 10000))"),
@@ -210,6 +249,16 @@ def test_reproduce_sap_duplicate_passes_at_closed_form(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 3
     assert all("PASS" in row and "0.8951" in row for row in rows)
+
+
+def test_module_entry_point_runs_a_reproduction():
+    src = os.path.dirname(os.path.dirname(disentmetrics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "disentmetrics", "reproduce", "dci-two-factor"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("dci-two-factor") and rows[0].endswith("PASS")
 
 
 def test_reproduce_json_format(capsys):
@@ -260,6 +309,12 @@ def test_correlate_rejects_tiny_population(capsys):
     assert "at least 5" in err
 
 
+@pytest.mark.parametrize("count", ["4", "0", "-1"])
+def test_correlate_leaves_the_population_size_check_to_the_library(capsys, count):
+    code, out, err = run(["correlate", "--count", count, "--n", "50"], capsys)
+    assert (code, out, err) == (1, "", "error: need at least 5 representations\n")
+
+
 def test_compare_builtin(capsys):
     code, out, _ = run(["compare", "--builtin", "mig-vs-3charm", "--metrics", "mig,3charm"], capsys)
     assert code == 0
@@ -268,7 +323,7 @@ def test_compare_builtin(capsys):
 
 
 def test_compare_matrix_files(tmp_path, capsys):
-    a, b = synth.gen_comparison_matrices("dci_vs_3charm")
+    a, b = synth.gen_comparison_matrices("dci-vs-3charm")
     pa, pb = tmp_path / "a.matrix", tmp_path / "b.matrix"
     save_matrix(a, str(pa))
     save_matrix(b, str(pb))
@@ -280,7 +335,7 @@ def test_compare_matrix_files(tmp_path, capsys):
 
 
 def test_compare_matrix_files_unknown_metric(tmp_path, capsys):
-    a, b = synth.gen_comparison_matrices("dci_vs_3charm")
+    a, b = synth.gen_comparison_matrices("dci-vs-3charm")
     pa, pb = tmp_path / "a.matrix", tmp_path / "b.matrix"
     save_matrix(a, str(pa))
     save_matrix(b, str(pb))
@@ -388,7 +443,7 @@ def _subparsers():
 def _minimal_argv(command, tmp_path):
     dataset = tmp_path / "d.csv"
     save_dataset(synth.gen_sap_nonlinear(n=60, seed=3), str(dataset))
-    a, b = synth.gen_comparison_matrices("mig_vs_3charm")
+    a, b = synth.gen_comparison_matrices("mig-vs-3charm")
     save_matrix(a, str(tmp_path / "a.matrix"))
     save_matrix(b, str(tmp_path / "b.matrix"))
     return {
@@ -443,12 +498,15 @@ def test_flag_defaults_and_choices_are_the_library_values():
         assert (strategy.default, tuple(strategy.choices)) == (binning.strategy, BIN_STRATEGIES)
     for field in ("train_points", "eval_points", "batch_size"):
         assert _action("eval", field).default == getattr(config, field)
-    for command, scorer in (("eval", metrics.evaluate_all), ("correlate", analysis.correlate_metrics)):
+    for command in ("eval", "correlate"):
         method = _action(command, "importance_method")
-        assert tuple(method.choices) == IMPORTANCE_METHODS
-        assert method.default == inspect.signature(scorer).parameters["importance_method"].default
+        assert (method.default, tuple(method.choices)) == (IMPORTANCE_METHODS[0], IMPORTANCE_METHODS)
+    for scorer, parameter in ((importance_matrix_from_dataset, "method"), (metrics.dci_from_dataset, "method"),
+                              (metrics.evaluate_all, "importance_method"),
+                              (analysis.correlate_metrics, "importance_method")):
+        assert inspect.signature(scorer).parameters[parameter].default == IMPORTANCE_METHODS[0]
     n = synth.GeneratorSpec("identity").n
     assert _action("gen", "n").default == n == synth.parse_spec_string("identity").n
     assert _action("gen", "n").help.endswith(f"(default {n})")
     assert _action("correlate", "factors").default == synth.GENERATORS["entangled"][0]["K"]
-    assert [case.replace("-", "_") for case in _action("compare", "builtin").choices] == list(synth.COMPARISON_CASES)
+    assert tuple(_action("compare", "builtin").choices) == synth.COMPARISON_CASES

@@ -55,7 +55,7 @@ def write_inputs(directory):
     for name, level, seed in (("a.csv", 0.3, 1), ("b.csv", 0.7, 2)):
         spec = synth.GeneratorSpec("entangled", {"level": level, "K": 3}, seed=seed, n=400)
         save_dataset(synth.dataset_from_spec(spec)[0], os.path.join(directory, name))
-    matrix_a, matrix_b = synth.gen_comparison_matrices("mig_vs_3charm")
+    matrix_a, matrix_b = synth.gen_comparison_matrices("mig-vs-3charm")
     save_matrix(matrix_a, os.path.join(directory, "a.matrix"))
     save_matrix(matrix_b, os.path.join(directory, "b.matrix"))
     # two discrete factors and one continuous one, mixed into three latents;

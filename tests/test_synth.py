@@ -1,4 +1,4 @@
-import math
+import dataclasses
 import re
 
 import numpy as np
@@ -268,17 +268,41 @@ def test_build_accepts_the_ends_of_each_range():
 
 
 def test_parse_spec_string_reads_nan_and_inf_as_floats():
-    spec = parse_spec_string("disentangled:noise_std=inf,K=3")
-    assert spec.params["noise_std"] == float("inf") and spec.params["K"] == 3 and type(spec.params["K"]) is int
-    assert math.isnan(parse_spec_string("entangled:level=nan").params["level"])
-    assert parse_spec_string("entangled:level=-inf,K=2e0").params == {"level": float("-inf"), "K": 2.0}
+    # each is out of range, so the spec refuses it, quoting the float it was read as
+    for text, message in (("disentangled:noise_std=inf,K=3", "noise_std must be finite and non-negative, got inf"),
+                          ("entangled:level=nan", "level must lie in [0, 1], got nan"),
+                          ("entangled:level=-inf,K=2e0", "level must lie in [0, 1], got -inf")):
+        with pytest.raises(ValueError, match=f"parameter {re.escape(message)}$"):
+            parse_spec_string(text)
+    spec = parse_spec_string("entangled:level=1,K=2e0")
+    assert spec.params == {"level": 1.0, "K": 2} and type(spec.params["K"]) is int
 
 
 def test_build_casts_each_parameter_to_its_declared_type():
     ds, info = synth.build(GeneratorSpec("entangled", {"K": 3.0, "level": 1}, n=50))
     assert ds.n_factors == 3 and type(info["level"]) is float
-    oracle, _ = synth.build(GeneratorSpec("noise", {"K": np.int64(2), "N": 4.0}))
+    params = {"K": np.int64(2), "N": 4.0}
+    spec = GeneratorSpec("noise", params, seed=np.int64(3), n=5.0)
+    oracle, _ = synth.build(spec)
     assert (oracle.n_factors, oracle.n_latents) == (2, 4)
+    # the spec holds the cast values, in a dict of its own, and checks every copy made of it
+    assert spec.params == {"K": 2, "N": 4} and all(type(v) is int for v in spec.params.values())
+    assert (spec.seed, spec.n) == (3, 5) and type(spec.seed) is int and type(spec.n) is int
+    assert params == {"K": np.int64(2), "N": 4.0}
+    assert GeneratorSpec("disentangled", {"cubic": 1.0}).params == {"cubic": True}
+    with pytest.raises(ValueError, match="^noise parameter n must be at least 1, got 0$"):
+        dataclasses.replace(spec, n=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: synth.gen_disentangled(1, n=10), "disentangled parameter K must be at least 2, got 1"),
+    (lambda: synth.gen_entangled_family(0.5, n_factors=1, n=10), "entangled parameter K must be at least 2, got 1"),
+    (lambda: synth.gen_entangled_family(1.5, n_factors=1, n=10),
+     "entangled parameter level must lie in [0, 1], got 1.5"),
+])
+def test_generator_functions_state_their_ranges_as_the_spec_does(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parse_spec_string_rejects_a_non_integral_seed_or_n():
