@@ -10,6 +10,7 @@ from .core import (
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
+    UsageError,
     ValidationError,
     load_dataset,
     load_matrix,
@@ -50,6 +51,7 @@ __all__ = [
     "PopulationResult",
     "RepresentationDataset",
     "RepresentationOracle",
+    "UsageError",
     "ValidationError",
     "beta_vae_score",
     "compare",

@@ -11,6 +11,7 @@ from .core import (
     InformativenessMatrix,
     NotComputableError,
     RepresentationDataset,
+    UsageError,
     _LOAD_BYTES_PER_US,
     _in_blocks,
     _json_text,
@@ -37,9 +38,9 @@ def spearman(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 2:
-        raise ValueError("sequences must be 1-d and share a length >= 2")
+        raise UsageError("sequences must be 1-d and share a length >= 2")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("sequences must be finite")
+        raise UsageError("sequences must be finite")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise NotComputableError("rank correlation is undefined for a constant sequence")
     ra = _average_ranks(a)
@@ -98,7 +99,7 @@ def correlate_metrics(population, metrics=None, binning=BinningSpec(),
     a recorded reason.
     """
     if len(population) < 5:
-        raise ValueError("need at least 5 representations")
+        raise UsageError("need at least 5 representations")
     selection = list(metrics) if metrics is not None else list(metrics_mod.DATASET_METRICS)
     labels = [_rep_label(rep, i) for i, rep in enumerate(population)]
     columns = []

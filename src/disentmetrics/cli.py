@@ -16,8 +16,10 @@ from . import analysis, metrics, reproduce, synth
 from .core import (
     DEFAULT_SEED,
     MetricsError,
+    UsageError,
     _atomic_write,
     _csv_text,
+    _in_range,
     _json_text,
     load_dataset,
     load_matrix,
@@ -71,19 +73,15 @@ def _reports_csv(reports):
 
 
 def _metric_selection(text):
-    if text is None:
-        return None
-    selection = [m.strip() for m in text.split(",") if m.strip()]
-    if not selection:
-        raise ValueError("no metrics selected")
-    return selection
+    """The names in ``--metrics``, or None without it; ``evaluate_all`` refuses an empty selection."""
+    return None if text is None else [m.strip() for m in text.split(",") if m.strip()]
 
 
 def cmd_eval(args):
     selection = _metric_selection(args.metrics)
     inputs = [x for x in (args.dataset, args.oracle, args.matrix) if x is not None]
     if len(inputs) != 1:
-        raise ValueError("exactly one of --dataset, --oracle, or --matrix is required")
+        raise UsageError("exactly one of --dataset, --oracle, or --matrix is required")
     # before the oracle spec, whose n is --train-points; each field is the flag of its name
     config = InterventionConfig(**{f.name: getattr(args, f.name) for f in fields(InterventionConfig)})
     if args.matrix:
@@ -93,7 +91,7 @@ def cmd_eval(args):
     else:
         if args.oracle not in synth.ORACLE_GENERATOR_NAMES:
             known = ", ".join(synth.ORACLE_GENERATOR_NAMES)
-            raise ValueError(f"unknown oracle {args.oracle!r} (known: {known})")
+            raise UsageError(f"unknown oracle {args.oracle!r} (known: {known})")
         spec = synth.GeneratorSpec(args.oracle, seed=args.seed, n=args.train_points)
         source = synth.build(spec)[0]
     reports = metrics.evaluate_all(
@@ -113,7 +111,7 @@ def cmd_eval(args):
 
 def cmd_gen(args):
     if not args.out:
-        raise ValueError("gen requires --out for the dataset file")
+        raise UsageError("gen requires --out for the dataset file")
     spec = synth.parse_spec_string(args.spec, seed=args.seed, n=args.n)
     dataset, info = synth.dataset_from_spec(spec)
     save_dataset(dataset, args.out)
@@ -157,12 +155,10 @@ def _parse_grid(text, flag):
     try:
         grid = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
+        raise UsageError(f"{flag} must be a comma-separated list of numbers") from None
     if not grid:
-        raise ValueError(f"{flag} is empty")
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError(f"{flag} values must lie in [0, 1]")
-    return grid
+        raise UsageError(f"{flag} is empty")
+    return [_in_range(f"{flag} value", g, 0, 1) for g in grid]
 
 
 def cmd_sweep(args):
@@ -200,13 +196,13 @@ def cmd_correlate(args):
 
 def cmd_compare(args):
     if args.builtin and args.inputs:
-        raise ValueError("compare takes two input paths or --builtin, not both")
+        raise UsageError("compare takes two input paths or --builtin, not both")
     if args.builtin:
         rep_a, rep_b = synth.gen_comparison_matrices(args.builtin)
         labels = (f"{args.builtin}:a", f"{args.builtin}:b")
     else:
         if not args.inputs or len(args.inputs) != 2:
-            raise ValueError("compare needs two input paths (or --builtin)")
+            raise UsageError("compare needs two input paths (or --builtin)")
         rep_a, rep_b = args.inputs
         labels = (rep_a, rep_b)
     selection = _metric_selection(args.metrics)
@@ -284,7 +280,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MetricsError, ValueError, OSError) as exc:
+    except (MetricsError, OSError) as exc:  # any other exception is a bug, and shows its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # an input too large for this machine; outputs are written atomically

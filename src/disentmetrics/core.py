@@ -38,6 +38,7 @@ import math
 import numbers
 import os
 import pickle
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,20 +82,20 @@ class DegenerateLabelsError(MetricsError):
     """A classifier was asked to fit fewer than two classes."""
 
 
-def _at_least(name, value, low, whole=True):
-    """``value`` if it is an integer (``whole``) or a finite number, and at least ``low``;
-    ValueError naming ``name`` otherwise."""
+class UsageError(MetricsError, ValueError):
+    """An input the call does not accept; a ValueError too, so callers catching ValueError still do."""
+
+
+def _in_range(name, value, low, high=None, whole=False):
+    """``value`` if it is an integer (``whole``) or a finite number, at least ``low`` and, unless
+    ``high`` is None, at most ``high``; UsageError naming ``name`` otherwise."""
     if not (isinstance(value, numbers.Integral) if whole else
-            isinstance(value, numbers.Real) and math.isfinite(value)) or value < low:
-        raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'} >= {low}, got {value!r}")
+            isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise UsageError(f"{name} must be {'an integer' if whole else 'a finite number'}, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise UsageError(f"{name} must {bound}, got {value!r}")
     return value
-
-
-def _check_fields(config, **least):
-    """:func:`_at_least` on each field of the dataclass ``config`` in ``least``, whole if ``int``."""
-    types = {f.name: f.type for f in fields(config)}
-    for name, low in least.items():
-        _at_least(name, getattr(config, name), low, types[name] is int)
 
 
 def _default_names(prefix, count):
@@ -131,7 +132,7 @@ class RepresentationDataset:
     def __post_init__(self, copy=True):
         factors, latents = _freeze(self.factors, "C", copy), _freeze(self.latents, "C", copy)
         if factors.ndim != 2 or latents.ndim != 2:
-            raise ValueError("factors and latents must be 2-d (rows, columns) arrays")
+            raise UsageError("factors and latents must be 2-d (rows, columns) arrays")
         k, m = factors.shape[1], latents.shape[1]
         # a group with no columns gets the other's rows: only two groups with columns can differ
         object.__setattr__(self, "factors", factors if k else _freeze(np.empty((latents.shape[0], 0))))
@@ -145,9 +146,9 @@ class RepresentationDataset:
             given = getattr(self, field_name)
             object.__setattr__(self, field_name, tuple(default if given is None else given))
         if (len(self.factor_names), len(self.latent_names), len(self.cardinalities)) != (k, m, k):
-            raise ValueError("need one name per column and one cardinality per factor")
+            raise UsageError("need one name per column and one cardinality per factor")
         if any(card is not None and card < 1 for card in self.cardinalities):
-            raise ValueError("discrete factor needs cardinality >= 1")
+            raise UsageError("discrete factor needs cardinality >= 1")
         if issues := _column_issues(self):
             raise ValidationError(issues)
 
@@ -614,13 +615,13 @@ class InformativenessMatrix:
         v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
         h = np.atleast_1d(np.asarray(self.factor_entropies, dtype=np.float64))
         if v.ndim != 2 or h.ndim != 1 or v.shape[1] != h.size:
-            raise ValueError("matrix must be (N, K) with K factor entropies")
+            raise UsageError("matrix must be (N, K) with K factor entropies")
         if not np.isfinite(v).all() or not np.isfinite(h).all():
-            raise ValueError("non-finite entries")
+            raise UsageError("non-finite entries")
         if (v < 0).any():
-            raise ValueError("negative informativeness entry")
+            raise UsageError("negative informativeness entry")
         if (h < 0).any():  # a zero entropy stays: MIG skips that factor
-            raise ValueError("negative factor entropy")
+            raise UsageError("negative factor entropy")
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "factor_entropies", _freeze(h))
 
@@ -693,9 +694,9 @@ class RepresentationOracle:
     """
 
     def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):
-        """``n_factors`` and ``n_latents`` must be integers >= 1 (ValueError naming the field)."""
-        self.n_factors = int(_at_least("n_factors", n_factors, 1))
-        self.n_latents = int(_at_least("n_latents", n_latents, 1))
+        """``n_factors`` and ``n_latents`` must be integers >= 1 (UsageError naming the field)."""
+        self.n_factors = int(_in_range("n_factors", n_factors, 1, whole=True))
+        self.n_latents = int(_in_range("n_latents", n_latents, 1, whole=True))
         self._factor_names = _default_names("z", self.n_factors)
         self._latent_names = _default_names("c", self.n_latents)
         self._factor_sampler = factor_sampler
@@ -711,8 +712,8 @@ class RepresentationOracle:
 
     def sample_factors(self, n):
         """n factor rows, (n, K), from the factor marginals; any other shape raises
-        :class:`ValidationError`, and an ``n`` that is not an integer >= 0 ValueError."""
-        n = int(_at_least("n", n, 0))
+        :class:`ValidationError`, and an ``n`` that is not an integer >= 0 UsageError."""
+        n = int(_in_range("n", n, 0, whole=True))
         return _shaped(self._factor_sampler(self._rng, n), n, self._factor_names, "factor sampler")
 
     def encode(self, z):
@@ -757,7 +758,7 @@ def _shaped(values, rows, names, source):
 
 def _jsonify(obj):
     """``obj`` in plain JSON values: keys as strings, tuples and arrays as lists, numpy scalars as Python's."""
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]

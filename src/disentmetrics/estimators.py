@@ -21,8 +21,9 @@ from .core import (
     DegenerateLabelsError,
     InformativenessMatrix,
     NotComputableError,
-    _check_fields,
+    UsageError,
     _in_blocks,
+    _in_range,
 )
 
 BIN_STRATEGIES = ("quantile", "equal_width")
@@ -48,8 +49,8 @@ class BinningSpec:
 
     def __post_init__(self):
         if self.strategy not in BIN_STRATEGIES:
-            raise ValueError(f"unknown binning strategy {self.strategy!r}")
-        _check_fields(self, bin_count=2)
+            raise UsageError(f"unknown binning strategy {self.strategy!r}")
+        _in_range("bin_count", self.bin_count, 2, whole=True)
 
 
 def discretize(values, spec=BinningSpec()):
@@ -64,9 +65,9 @@ def discretize(values, spec=BinningSpec()):
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-d sequence")
+        raise UsageError("values must be a non-empty 1-d sequence")
     if not np.isfinite(v).all():
-        raise ValueError("values must be finite")
+        raise UsageError("values must be finite")
     if v.min() == v.max():
         return np.zeros(v.size, dtype=np.int64)
     if spec.strategy == "quantile":
@@ -114,7 +115,7 @@ def entropy(labels):
     """Plug-in entropy -sum p ln p (nats) over observed labels."""
     a = np.asarray(labels)
     if a.ndim != 1 or a.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
+        raise UsageError("labels must be a non-empty 1-d sequence")
     return _entropy(*_coded(a))
 
 
@@ -126,9 +127,9 @@ def mutual_information(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ValueError("label sequences must be 1-d and of equal length")
+        raise UsageError("label sequences must be 1-d and of equal length")
     if a.size == 0:
-        raise ValueError("label sequences must be non-empty")
+        raise UsageError("label sequences must be non-empty")
     return _mutual_information(_coded(a), _coded(b))
 
 
@@ -146,7 +147,7 @@ def informativeness_from_mi(dataset, spec=BinningSpec()):
     Latents are always discretized; factor entropies are the plug-in
     entropies of the encoded factors, so an invertible latent map can reach
     I[i, j] = H(z_j) exactly, and no entry may exceed it by more than 1e-9
-    (``ValueError`` otherwise: a fault in the estimator, not in the data).
+    (a plain ``ValueError`` otherwise: a fault in the estimator, not in the data).
     """
     # each column is coded once, not once per pair it takes part in: the factors' codes
     # first, then one latent column at a time, each from a contiguous copy of the column
@@ -171,9 +172,9 @@ def linear_regression_r2(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size < 2:
-        raise ValueError("x and y must be 1-d and share a length >= 2")
+        raise UsageError("x and y must be 1-d and share a length >= 2")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
+        raise UsageError("x and y must be finite")
     return centred_r2(centred(x), centred(y))
 
 
@@ -230,7 +231,8 @@ class ClassifierConfig:
     epochs: int = 500
 
     def __post_init__(self):
-        _check_fields(self, learning_rate=0, epochs=1)
+        _in_range("learning_rate", self.learning_rate, 0)
+        _in_range("epochs", self.epochs, 1, whole=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,14 +260,14 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
     x = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.size:
-        raise ValueError("points must be (n, D) with one label per row")
+        raise UsageError("points must be (n, D) with one label per row")
     if not np.isfinite(x).all():
-        raise ValueError("points must be finite")
+        raise UsageError("points must be finite")
     if y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all():
-        raise ValueError("labels must be integers")
+        raise UsageError("labels must be integers")
     y = y.astype(np.int64)
     if (y < 0).any():
-        raise ValueError("labels must be non-negative")
+        raise UsageError("labels must be non-negative")
     if np.unique(y).size < 2:
         raise DegenerateLabelsError("need at least two classes to fit a classifier")
     n, d = x.shape
@@ -315,17 +317,17 @@ def majority_vote(pairs, n_latents, n_factors):
     """Tally (latent_index, factor_index) training pairs into a vote table."""
     pairs = np.asarray(pairs)
     if pairs.size == 0:
-        raise ValueError("majority_vote needs at least one training pair")
+        raise UsageError("majority_vote needs at least one training pair")
     pairs = pairs.reshape(-1, 2)
     if pairs.dtype.kind == "f":
         fractional = ~(np.isfinite(pairs) & (pairs == np.trunc(pairs))).all(axis=1)
         if fractional.any():
             latent, factor = pairs[fractional.argmax()].tolist()
-            raise ValueError(f"pair (latent {latent}, factor {factor}) is not a pair of whole numbers")
+            raise UsageError(f"pair (latent {latent}, factor {factor}) is not a pair of whole numbers")
     outside = (pairs < 0).any(axis=1) | (pairs[:, 0] >= n_latents) | (pairs[:, 1] >= n_factors)
     if outside.any():
         latent, factor = (int(v) for v in pairs[outside.argmax()])
-        raise ValueError(f"pair (latent {latent}, factor {factor}) lies outside the {n_latents} x {n_factors} vote table")
+        raise UsageError(f"pair (latent {latent}, factor {factor}) lies outside the {n_latents} x {n_factors} vote table")
     pairs = pairs.astype(np.int64, copy=False)
     votes = np.zeros((n_latents, n_factors), dtype=np.int64)
     np.add.at(votes, (pairs[:, 0], pairs[:, 1]), 1)
@@ -345,9 +347,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, n_trees=1, max_depth=1, seed=0)
-        if not 0.0 < self.bag_fraction <= 1.0:
-            raise ValueError("bag_fraction must lie in (0, 1]")
+        for name, low in (("n_trees", 1), ("max_depth", 1), ("seed", 0)):
+            _in_range(name, getattr(self, name), low, whole=True)
+        if _in_range("bag_fraction", self.bag_fraction, 0, 1) == 0:  # a bag of no rows
+            raise UsageError(f"bag_fraction must be above 0, got {self.bag_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +358,7 @@ class LassoConfig:
     alpha: float = 0.01
 
     def __post_init__(self):
-        _check_fields(self, alpha=0)
+        _in_range("alpha", self.alpha, 0)
 
 
 def _grow_tree(q, order, vals, tied, max_depth, credited, shares):
@@ -511,7 +514,7 @@ def importance_matrix_from_dataset(dataset, method=IMPORTANCE_METHODS[0], config
     if dataset.n_factors < 1 or dataset.n_latents < 1:
         raise NotComputableError("dataset has no factor or latent columns")
     if method not in IMPORTANCE_METHODS:
-        raise ValueError(f"unknown importance method {method!r}")
+        raise UsageError(f"unknown importance method {method!r}")
     latents, targets = dataset.latent_matrix(), dataset.factors.T
     if method == "forest":
         raw, masses = _forest_importances(latents, targets, config or ForestConfig())

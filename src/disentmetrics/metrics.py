@@ -21,8 +21,9 @@ from .core import (
     NotComputableError,
     RepresentationDataset,
     RepresentationOracle,
-    _check_fields,
+    UsageError,
     _in_blocks,
+    _in_range,
 )
 from . import estimators
 from .estimators import IMPORTANCE_METHODS, BinningSpec, ClassifierConfig
@@ -44,7 +45,8 @@ class InterventionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, train_points=1, eval_points=1, batch_size=2, seed=0)
+        for name, low in (("train_points", 1), ("eval_points", 1), ("batch_size", 2), ("seed", 0)):
+            _in_range(name, getattr(self, name), low, whole=True)
 
 
 def _spawn_seeds(seed, count, domain=0):
@@ -464,7 +466,7 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     is scored, and each metric that needs the missing group is skipped.
     """
     if metrics is not None and len(metrics) == 0:
-        raise ValueError("no metrics selected")
+        raise UsageError("no metrics selected")
     is_matrix = isinstance(source, InformativenessMatrix)
     if is_matrix:
         supplies = ("matrix",)
@@ -477,7 +479,7 @@ def evaluate_all(source, metrics=None, config=InterventionConfig(),
     selection = list(metrics) if metrics is not None else list(MATRIX_METRICS if is_matrix else METRIC_NAMES)
     for name in selection:
         if name not in METRICS:
-            raise ValueError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
+            raise UsageError(f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
 
     inputs = _Inputs(source, config, binning, importance_method)
     seed = None if is_matrix else config.seed

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, synth
+from .core import UsageError
 from .metrics import InterventionConfig
 
 REPRO_SEEDS = (11, 22, 33)
@@ -156,7 +157,7 @@ def run(case="all"):
         names = [case]
     else:
         known = ", ".join(sorted(CASES))
-        raise ValueError(f"unknown reproduction case {case!r} (known: {known}, all)")
+        raise UsageError(f"unknown reproduction case {case!r} (known: {known}, all)")
     results = []
     for name in names:
         results.extend(CASES[name].run())

@@ -7,8 +7,9 @@ All generators are bit-reproducible from (params, seed); sampling uses
 numpy's PCG64 generator throughout.
 """
 
-import math
+import contextlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .core import (
     InformativenessMatrix,
     RepresentationDataset,
     RepresentationOracle,
+    UsageError,
+    _in_range,
 )
 
 # Latent k copies factor j with probability BETAVAE_MIX[k, j], independently
@@ -138,7 +141,7 @@ def gen_dci_matrix(case):
         return p
     if case == "two_factor":
         return np.array([[1.0, 0.0], [0.01, 0.09]])
-    raise ValueError(f"unknown DCI matrix case {case!r} (known: {', '.join(DCI_MATRIX_CASES)})")
+    raise UsageError(f"unknown DCI matrix case {case!r} (known: {', '.join(DCI_MATRIX_CASES)})")
 
 
 def gen_parametric_matrix(eps, eps1):
@@ -149,8 +152,8 @@ def gen_parametric_matrix(eps, eps1):
     Closed forms: 3CharM = eps, MIG = |eps - eps1|, and DCI on the same
     matrix equals eps / (eps + eps1) when eps + eps1 > 0.
     """
-    if not (0.0 <= eps <= 1.0 and 0.0 <= eps1 <= 1.0):
-        raise ValueError("eps and eps1 must lie in [0, 1]")
+    _in_range("eps", eps, 0, 1)
+    _in_range("eps1", eps1, 0, 1)
     values = np.array([
         [eps, 0.0],
         [eps1, eps1],
@@ -165,11 +168,11 @@ def gen_disentangled(n_factors, n=10000, noise_std=0.0, map_kind="linear",
     per-dimension map (linear or cubic) over U[-1,1] factors and a seeded
     permutation. ``return_info=True`` also returns the ground truth. A
     ``n_factors`` below 2 or a negative or non-finite ``noise_std`` raises
-    ValueError."""
-    _in_range("K", n_factors, "disentangled")
-    _in_range("noise_std", noise_std, "disentangled")
+    UsageError."""
+    _param("disentangled", "K", n_factors)
+    _param("disentangled", "noise_std", noise_std)
     if map_kind not in ("linear", "cubic"):
-        raise ValueError(f"unknown map kind {map_kind!r}")
+        raise UsageError(f"unknown map kind {map_kind!r}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_factors)
     z = rng.uniform(-1.0, 1.0, size=(n, n_factors))
@@ -192,9 +195,9 @@ def gen_entangled_family(level, n_factors=4, n=10000, seed=DEFAULT_SEED, return_
     """One-knob entanglement family: mixes the permuted identity map
     (level 0) with a dense seeded random orthogonal matrix (level 1);
     c = z @ M(level)^T over U[-1,1] factors. A ``level`` outside [0, 1] or
-    ``n_factors`` below 2 raises ValueError."""
-    _in_range("level", level, "entangled")
-    _in_range("K", n_factors, "entangled")
+    ``n_factors`` below 2 raises UsageError."""
+    _param("entangled", "level", level)
+    _param("entangled", "K", n_factors)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_factors)
     p = np.eye(n_factors)[perm]
@@ -229,7 +232,7 @@ def gen_comparison_matrices(case):
     leaving the other factor uncovered. DCI prefers B, 3CharM prefers A.
     """
     if case not in _COMPARISON_PAIRS:
-        raise ValueError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")
+        raise UsageError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")
     return tuple(InformativenessMatrix(np.array(values), np.ones(2)) for values in _COMPARISON_PAIRS[case])
 
 
@@ -243,10 +246,10 @@ class GeneratorSpec:
     """Name + parameters + (seed, n) identifying one generated object.
 
     Valid by construction: an unknown generator, a parameter it does not
-    read, a value the type of the parameter's default does not admit, or a
-    value outside the parameter's range (see :func:`_in_range`; ``n`` and
-    ``seed`` included) raises ValueError here. ``params``, ``seed`` and
-    ``n`` hold the cast values (a flag is a bool)."""
+    read, or a value outside the parameter's type and range (see
+    :func:`_param`; ``n`` and ``seed`` included) raises UsageError here.
+    ``params`` (read-only), ``seed`` and ``n`` hold the cast values (a flag
+    is a bool)."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -256,18 +259,19 @@ class GeneratorSpec:
     def __post_init__(self):
         name = self.name
         if name not in GENERATORS:
-            raise ValueError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
-        seed, n = _cast(self.seed, int, "seed", name), _cast(self.n, int, "n", name)
+            raise UsageError(f"unknown generator {name!r} (known: {', '.join(sorted(GENERATORS))})")
         defaults = GENERATORS[name][0]
         for key in self.params:
             if key not in defaults:
                 known = ", ".join(defaults) or "none"
-                raise ValueError(f"unknown parameter {key!r} for generator {name!r} (known: {known})")
-        params = {key: _in_range(key, _cast(value, type(defaults[key]), key, name), name)
-                  for key, value in self.params.items()}
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "n", _in_range("n", n, name))
-        object.__setattr__(self, "seed", _in_range("seed", seed, name))
+                raise UsageError(f"unknown parameter {key!r} for generator {name!r} (known: {known})")
+        params = {key: _param(name, key, value) for key, value in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "n", _param(name, "n", self.n))
+        object.__setattr__(self, "seed", _param(name, "seed", self.seed))
+
+    def __reduce__(self):  # rebuilt, and so checked, from a plain dict: a read-only view does not pickle
+        return type(self), (self.name, dict(self.params), self.seed, self.n)
 
     def label(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -282,44 +286,27 @@ def parse_spec_string(text, seed=DEFAULT_SEED, n=GeneratorSpec.n):
     if tail:
         for item in tail.split(","):
             if "=" not in item:
-                raise ValueError(f"bad generator parameter {item!r} (expected key=value)")
+                raise UsageError(f"bad generator parameter {item!r} (expected key=value)")
             key, value = item.split("=", 1)
             try:
                 value = int(value)
             except ValueError:
-                value = float(value)  # a decimal point, an exponent, nan or inf
+                with contextlib.suppress(ValueError):  # text that is no number stays text: the spec names its key
+                    value = float(value)  # a decimal point, an exponent, nan or inf
             params[key.strip()] = value
     seed, n = params.pop("seed", seed), params.pop("n", n)
     return GeneratorSpec(name=name, params=params, seed=seed, n=n)
 
 
-def _cast(value, kind, key, name):
-    """``value`` as a ``kind`` (bool, int or float); a flag takes only 0 or 1
-    and an integer only an integral value (ValueError otherwise)."""
-    if kind is bool and value not in (0, 1):
-        raise ValueError(f"{name} parameter {key} must be 0 or 1, got {value!r}")
-    if kind is int and not isinstance(value, (int, np.integer)) and not float(value).is_integer():
-        raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
-    return kind(value)
-
-
-# (generator, size parameter) -> its least value, where that is above 1
-_LEAST_SIZES = {("disentangled", "K"): 2, ("entangled", "K"): 2}
-
-
-def _in_range(key, value, name):
-    """``value`` if it lies in the range of parameter ``key``: sizes (K, N,
-    n) at least 1 (K at least 2 for ``disentangled`` and ``entangled``),
-    ``seed`` at least 0, ``noise_std`` finite and non-negative, ``level`` in
-    [0, 1]; ValueError naming the parameter and the generator otherwise."""
-    least = 0 if key == "seed" else _LEAST_SIZES.get((name, key), 1)
-    if key in ("K", "N", "n", "seed") and value < least:
-        raise ValueError(f"{name} parameter {key} must be at least {least}, got {value!r}")
-    if key == "noise_std" and not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} parameter {key} must be finite and non-negative, got {value!r}")
-    if key == "level" and not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} parameter {key} must lie in [0, 1], got {value!r}")
-    return value
+def _param(name, key, value):
+    """``value`` of parameter ``key`` of generator ``name`` in the type of its default (``n`` and
+    ``seed`` are integers), if it lies in its :data:`PARAM_RANGES` entry; UsageError naming the parameter
+    and the generator otherwise. A whole number written as a float (``K=3.0``, ``2e0``) is an integer."""
+    kind = type(GENERATORS[name][0].get(key, 0))
+    if kind is not float and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    low, high = {"n": (1, None), "seed": (0, None), **PARAM_RANGES.get(name, {})}[key]
+    return kind(_in_range(f"{name} parameter {key}", value, low, high, whole=kind is not float))
 
 
 # name -> (every parameter the generator reads, with its default;
@@ -338,6 +325,12 @@ GENERATORS = {
     "entangled": ({"level": 0.5, "K": 4}, lambda p, spec: gen_entangled_family(
         p["level"], p["K"], spec.n, spec.seed, return_info=True)),
 }
+
+# generator -> (least, greatest or None) of each parameter it reads; every generator's n is at
+# least 1 and its seed at least 0
+PARAM_RANGES = {"identity": {"K": (1, None)}, "noise": {"K": (1, None), "N": (1, None)},
+                "disentangled": {"K": (2, None), "noise_std": (0, None), "cubic": (0, 1)},
+                "entangled": {"level": (0, 1), "K": (2, None)}}
 
 ORACLE_GENERATOR_NAMES = ("betavae-counterexample", "factorvae-counterexample", "identity", "noise")
 

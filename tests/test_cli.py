@@ -11,12 +11,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import disentmetrics
-from disentmetrics import analysis, metrics, synth
+from disentmetrics import analysis, metrics, reproduce, synth
 from disentmetrics.cli import build_parser, main
-from disentmetrics.core import load_dataset, save_dataset, save_matrix
+from disentmetrics.core import UsageError, load_dataset, save_dataset, save_matrix
 from disentmetrics.estimators import BIN_STRATEGIES, IMPORTANCE_METHODS, BinningSpec, importance_matrix_from_dataset
 from disentmetrics.metrics import InterventionConfig
 from disentmetrics.reproduce import CASES
@@ -101,6 +101,31 @@ def test_gen_writes_dataset_and_sidecar(tmp_path, capsys):
     assert "mixing" in meta["ground_truth"]
 
 
+def test_gen_sidecar_writes_the_read_only_parameters_as_a_plain_object(tmp_path, capsys):
+    out_path = tmp_path / "gen.csv"
+    assert main(["gen", "--spec", "disentangled:K=2,cubic=1,noise_std=0", "--n", "5", "--seed", "3",
+                 "--out", str(out_path)]) == 0
+    assert (tmp_path / "gen.csv.meta.json").read_text() == """{
+  "generator": "disentangled",
+  "ground_truth": {
+    "map_kind": "cubic",
+    "noise_std": 0.0,
+    "permutation": [
+      1,
+      0
+    ]
+  },
+  "n": 5,
+  "params": {
+    "K": 2,
+    "cubic": true,
+    "noise_std": 0.0
+  },
+  "seed": 3
+}
+"""
+
+
 def test_gen_sidecar_writes_a_flag_as_a_json_boolean(tmp_path, capsys):
     out_path = tmp_path / "gen.csv"
     code, _, _ = run(["gen", "--spec", "disentangled:K=2,cubic=1", "--n", "50", "--out", str(out_path)], capsys)
@@ -131,8 +156,8 @@ def test_gen_rejects_a_non_integral_integer_parameter(tmp_path, capsys, spec):
     ("identity:n=0", "identity parameter n must be at least 1, got 0"),
     ("noise:N=0", "noise parameter N must be at least 1, got 0"),
     ("identity:K=-1", "identity parameter K must be at least 1, got -1"),
-    ("disentangled:noise_std=-1", "disentangled parameter noise_std must be finite and non-negative, got -1.0"),
-    ("entangled:level=nan", "entangled parameter level must lie in [0, 1], got nan"),
+    ("disentangled:noise_std=-1", "disentangled parameter noise_std must be at least 0, got -1"),
+    ("entangled:level=nan", "entangled parameter level must be a finite number, got nan"),
     ("disentangled:K=1", "disentangled parameter K must be at least 2, got 1"),
     ("entangled:K=1", "entangled parameter K must be at least 2, got 1"),
 ])
@@ -178,13 +203,12 @@ def test_gen_either_refuses_a_parameter_by_name_or_writes_a_loadable_file(case):
      "unknown parameter 'levle' for generator 'entangled' (known: level, K)"),
     ("sap-nonlinear", {"K": 2}, 7, 20, "unknown parameter 'K' for generator 'sap-nonlinear' (known: none)"),
     ("identity", {"K": 2.5}, 7, 20, "identity parameter K must be an integer, got 2.5"),
-    ("disentangled", {"cubic": 2}, 7, 20, "disentangled parameter cubic must be 0 or 1, got 2"),
+    ("disentangled", {"cubic": 2}, 7, 20, "disentangled parameter cubic must lie in [0, 1], got 2"),
     ("noise", {"N": 0}, 7, 20, "noise parameter N must be at least 1, got 0"),
     ("entangled", {"level": 1.5}, 7, 20, "entangled parameter level must lie in [0, 1], got 1.5"),
-    ("disentangled", {"noise_std": -1}, 7, 20,
-     "disentangled parameter noise_std must be finite and non-negative, got -1.0"),
+    ("disentangled", {"noise_std": -1}, 7, 20, "disentangled parameter noise_std must be at least 0, got -1"),
     ("disentangled", {"K": 1}, 7, 20, "disentangled parameter K must be at least 2, got 1"),
-    ("identity", {"K": 0}, 1.5, 20, "identity parameter seed must be an integer, got 1.5"),
+    ("identity", {"K": 2}, 1.5, 20, "identity parameter seed must be an integer, got 1.5"),
     ("identity", {"K": 0}, -1, 0, "identity parameter K must be at least 1, got 0"),
     ("identity", {}, -1, 0, "identity parameter n must be at least 1, got 0"),
     ("betavae-counterexample", {}, -1, 20, "betavae-counterexample parameter seed must be at least 0, got -1"),
@@ -199,11 +223,71 @@ def test_a_generator_fault_gives_one_message_on_every_path(tmp_path, capsys, nam
     assert run(["gen", "--spec", text, "--out", str(tmp_path / "g.csv")], capsys) == (1, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
     if name in synth.ORACLE_GENERATOR_NAMES and not params:
-        # eval's InterventionConfig refuses the same --seed and --train-points before the spec is built
+        # eval's InterventionConfig refuses the same --seed and --train-points before the spec is built,
+        # in the same words: only the spec's "<generator> parameter " prefix and its name n differ
         with pytest.raises(ValueError) as refused:
             InterventionConfig(train_points=n, seed=seed)
+        assert f"{name} parameter {refused.value}" == message.replace(" parameter n ", " parameter train_points ")
         argv = ["eval", "--oracle", name, "--seed", str(seed), "--train-points", str(n)]
         assert run(argv, capsys) == (1, "", f"error: {refused.value}\n")
+
+
+def test_a_spec_value_that_is_not_a_number_names_its_parameter(tmp_path, capsys):
+    for text, message in (("identity:K=x", "identity parameter K must be an integer, got 'x'"),
+                          ("entangled:level=high", "entangled parameter level must be a finite number, got 'high'"),
+                          ("identity:seed=", "identity parameter seed must be an integer, got ''")):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            synth.parse_spec_string(text)
+        assert run(["gen", "--spec", text, "--out", str(tmp_path / "g.csv")], capsys) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# small values of every integer flag, most of them valid: nothing is sized above 3, and --count is at most 6
+_SMALL = st.sampled_from([-1, 0, 1, 2, 3, 3, 3])
+_GRID = st.lists(st.sampled_from(["0", "0.25", "1", "2", "-1", "nan", "inf", "x", ""]), min_size=1, max_size=3)
+
+
+@st.composite
+def _flag_cases(draw):
+    command = draw(st.sampled_from(["eval", "correlate", "sweep"]))
+    if command == "sweep":
+        return ["sweep", "--eps=" + ",".join(draw(_GRID)), "--eps1=" + ",".join(draw(_GRID))], ["out"]
+    if command == "eval":
+        argv = ["eval", "--oracle", draw(st.sampled_from(synth.ORACLE_GENERATOR_NAMES))]
+        flags = {"--seed": _SMALL, "--train-points": _SMALL, "--eval-points": _SMALL, "--batch-size": _SMALL}
+        written = ["out"]
+    else:
+        argv = ["correlate"]
+        flags = {"--count": st.sampled_from([-1, 0, 4, 5, 6, 6]), "--factors": _SMALL, "--n": _SMALL, "--seed": _SMALL}
+        written = ["out", "out.population.json"]
+    return argv + [f"{flag}={draw(values)}" for flag, values in {**flags, "--bins": _SMALL}.items()], written
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flag_cases())
+def test_no_small_flag_value_raises_out_of_main(case):
+    # exit 0 with every file in written, or exit 1 with one error: line and no file; never an exception
+    argv, written = case
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", os.path.join(tmp, "out")])
+        event(f"{argv[0]} exits {code}")
+        if code == 0:
+            assert sorted(os.listdir(tmp)) == sorted(written), argv
+        else:
+            assert code == 1 and os.listdir(tmp) == [], argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+def test_main_lets_an_unexpected_value_error_through(monkeypatch, capsys):
+    def broken(*args, **kwargs):  # a bare ValueError is a bug in the program, not a fault of the input
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(reproduce, "run", broken)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["reproduce", "dci-two-factor"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("message, shown", [

@@ -1,7 +1,9 @@
+import ast
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -478,7 +480,8 @@ def _every_subclass(cls):
 _ISSUES = [ValidationIssue("c1", r, "non-finite value") for r in range(1, 13)] + [ValidationIssue(None, None, "x")]
 _ERRORS = [core.MetricsError("base"), core.SchemaError("bad role"), ParseError("bad cell", row=3, column="c1"),
            ValidationError(_ISSUES), ValidationError([ValidationIssue("c1", 3, "non-finite value")]),
-           core.NotComputableError("undefined"), core.DegenerateLabelsError("one class")]
+           core.NotComputableError("undefined"), core.DegenerateLabelsError("one class"),
+           core.UsageError("seed must be at least 0, got -1")]
 
 
 def test_every_metrics_error_survives_a_pickle_round_trip():
@@ -867,15 +870,60 @@ def _uniform_oracle(n_factors, n_latents):
     (lambda: synth.gen_noise_oracle(n_latents=0), "n_latents"),
 ])
 def test_an_oracle_needs_whole_sizes_of_at_least_one(build, field):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+    with pytest.raises(core.UsageError, match=f"^{field} must be (an integer|at least 1), got "):
         build()
+
+
+@pytest.mark.parametrize("value, low, high, whole, message", [
+    (2.5, 1, None, True, "v must be an integer, got 2.5"),
+    ("3", 1, None, True, "v must be an integer, got '3'"),
+    (float("nan"), 0, 1, False, "v must be a finite number, got nan"),
+    (float("inf"), 0, None, False, "v must be a finite number, got inf"),
+    (None, 0, None, False, "v must be a finite number, got None"),
+    (0, 1, None, True, "v must be at least 1, got 0"),
+    (-0.5, 0, None, False, "v must be at least 0, got -0.5"),
+    (1.5, 0, 1, False, "v must lie in [0, 1], got 1.5"),
+    (-1, 0, 1, True, "v must lie in [0, 1], got -1"),
+])
+def test_one_range_check_words_each_kind_of_fault_once(value, low, high, whole, message):
+    with pytest.raises(core.UsageError, match=f"^{re.escape(message)}$") as raised:
+        core._in_range("v", value, low, high, whole=whole)
+    assert isinstance(raised.value, ValueError) and isinstance(raised.value, core.MetricsError)
+
+
+def test_one_range_check_returns_each_value_it_accepts():
+    for value, low, high, whole in ((1, 1, None, True), (np.int64(3), 0, 3, True), (0.0, 0, 1, False),
+                                    (1, 0, 1, False), (np.float64(2.5), 0, None, False)):
+        assert core._in_range("v", value, low, high, whole=whole) is value
+
+
+# every function that still raises a plain ValueError, and how many times: each is a fault of the
+# program, or a signal caught inside the package, never a fault of the caller's input
+_INTERNAL_VALUE_ERRORS = {
+    "_filled": 2,  # caught by _read_table, which re-reads the file for its ParseError
+    "_parse_rows": 1,  # likewise
+    "_raise_first_fault": 1,  # caught on the next line, to raise the cell's ParseError
+    "informativeness_from_mi": 1,  # an MI entry above its bound: an estimator fault
+}
+
+
+def test_every_input_fault_is_a_usage_error():
+    raised = {}
+    for path in Path(disentmetrics.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Raise) and node.exc is not None and "ValueError" in (
+                            getattr(node.exc, "id", None), getattr(getattr(node.exc, "func", None), "id", None)):
+                        raised[function.name] = raised.get(function.name, 0) + 1
+    assert raised == _INTERNAL_VALUE_ERRORS
 
 
 def test_oracle_sample_factors_needs_a_whole_count_of_at_least_zero():
     oracle = _uniform_oracle(np.int64(2), np.uint8(2))
     assert (type(oracle.n_factors), type(oracle.n_latents)) == (int, int)
     for n in (2.7, -1, "3"):
-        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+        with pytest.raises(core.UsageError, match=r"^n must be (an integer|at least 0), got "):
             oracle.sample_factors(n)
     assert oracle.sample_factors(np.int64(0)).shape == (0, 2)
     z, c = oracle.reseeded(3).sample(np.int32(4))

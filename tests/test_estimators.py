@@ -33,6 +33,7 @@ from disentmetrics.estimators import (
 )
 from disentmetrics.estimators import _coded, _quantized
 from disentmetrics.metrics import dci_score, sap_score
+from test_core import _force_workers
 
 
 # --- discretize ---------------------------------------------------------
@@ -939,11 +940,6 @@ def test_quantized_targets_keep_node_sums_inside_int64():
 # The worker count is forced through core._usable_cpus, with the work gate
 # core._BLOCK_MIN_WORK at 1 so that these small forests fan out too; every
 # worker count must give the reference's bits.
-
-
-def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(core, "_BLOCK_MIN_WORK", 1)
 
 
 def _fan_out_case():

@@ -663,7 +663,7 @@ def test_no_dataset_call_can_be_handed_an_invalid_dataset(tmp_path, fault, shown
     ({"seed": -1}, "seed"), ({"seed": 2.5}, "seed"),
 ])
 def test_intervention_config_names_the_field_it_rejects(kwargs, field):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+    with pytest.raises(core.UsageError, match=f"^{field} must be (an integer|at least [0-9]+), got "):
         InterventionConfig(**kwargs)
     assert InterventionConfig(train_points=np.int64(5), eval_points=1, batch_size=2).train_points == 5
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -211,8 +213,8 @@ def test_comparison_matrices_unknown_case():
 @pytest.mark.parametrize("name, params, message", [
     ("entangled", {"levle": 0.9, "K": 3}, "unknown parameter 'levle' for generator 'entangled' (known: level, K)"),
     ("sap-nonlinear", {"K": 2}, "unknown parameter 'K' for generator 'sap-nonlinear' (known: none)"),
-    ("disentangled", {"cubic": 2}, "disentangled parameter cubic must be 0 or 1, got 2"),
-    ("disentangled", {"cubic": 0.5}, "disentangled parameter cubic must be 0 or 1, got 0.5"),
+    ("disentangled", {"cubic": 2}, "disentangled parameter cubic must lie in [0, 1], got 2"),
+    ("disentangled", {"cubic": 0.5}, "disentangled parameter cubic must be an integer, got 0.5"),
 ])
 def test_build_rejects_parameters_the_generator_does_not_read(name, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -237,14 +239,12 @@ def test_build_rejects_a_non_integral_integer_parameter(name, params, message):
     ("entangled", {"K": 0.0}, 50, "entangled parameter K must be at least 2, got 0"),
     ("sap-nonlinear", {}, 0, "sap-nonlinear parameter n must be at least 1, got 0"),
     ("identity", {}, -3, "identity parameter n must be at least 1, got -3"),
-    ("disentangled", {"noise_std": -0.5}, 50, "disentangled parameter noise_std must be finite and non-negative, got -0.5"),
-    ("disentangled", {"noise_std": float("inf")}, 50,
-     "disentangled parameter noise_std must be finite and non-negative, got inf"),
-    ("disentangled", {"noise_std": float("nan")}, 50,
-     "disentangled parameter noise_std must be finite and non-negative, got nan"),
+    ("disentangled", {"noise_std": -0.5}, 50, "disentangled parameter noise_std must be at least 0, got -0.5"),
+    ("disentangled", {"noise_std": float("inf")}, 50, "disentangled parameter noise_std must be a finite number, got inf"),
+    ("disentangled", {"noise_std": float("nan")}, 50, "disentangled parameter noise_std must be a finite number, got nan"),
     ("entangled", {"level": 1.5}, 50, "entangled parameter level must lie in [0, 1], got 1.5"),
-    ("entangled", {"level": -1}, 50, "entangled parameter level must lie in [0, 1], got -1.0"),
-    ("entangled", {"level": float("nan")}, 50, "entangled parameter level must lie in [0, 1], got nan"),
+    ("entangled", {"level": -1}, 50, "entangled parameter level must lie in [0, 1], got -1"),
+    ("entangled", {"level": float("nan")}, 50, "entangled parameter level must be a finite number, got nan"),
     ("disentangled", {"K": 1}, 50, "disentangled parameter K must be at least 2, got 1"),
     ("entangled", {"K": 1}, 50, "entangled parameter K must be at least 2, got 1"),
 ])
@@ -255,7 +255,8 @@ def test_build_rejects_a_parameter_out_of_range(name, params, n, message):
 
 @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
 def test_gen_disentangled_rejects_a_negative_or_non_finite_noise_std(noise_std):
-    message = f"disentangled parameter noise_std must be finite and non-negative, got {noise_std!r}"
+    bound = "be at least 0" if noise_std < 0 else "be a finite number"
+    message = f"disentangled parameter noise_std must {bound}, got {noise_std!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synth.gen_disentangled(2, n=10, noise_std=noise_std)
 
@@ -269,9 +270,9 @@ def test_build_accepts_the_ends_of_each_range():
 
 def test_parse_spec_string_reads_nan_and_inf_as_floats():
     # each is out of range, so the spec refuses it, quoting the float it was read as
-    for text, message in (("disentangled:noise_std=inf,K=3", "noise_std must be finite and non-negative, got inf"),
-                          ("entangled:level=nan", "level must lie in [0, 1], got nan"),
-                          ("entangled:level=-inf,K=2e0", "level must lie in [0, 1], got -inf")):
+    for text, message in (("disentangled:noise_std=inf,K=3", "noise_std must be a finite number, got inf"),
+                          ("entangled:level=nan", "level must be a finite number, got nan"),
+                          ("entangled:level=-inf,K=2e0", "level must be a finite number, got -inf")):
         with pytest.raises(ValueError, match=f"parameter {re.escape(message)}$"):
             parse_spec_string(text)
     spec = parse_spec_string("entangled:level=1,K=2e0")
@@ -312,6 +313,25 @@ def test_parse_spec_string_rejects_a_non_integral_seed_or_n():
             parse_spec_string(text)
     spec = parse_spec_string("identity:seed=2.0,n=3e1")
     assert (spec.seed, spec.n) == (2, 30) and type(spec.seed) is int and type(spec.n) is int
+
+
+def test_a_spec_keeps_its_checked_parameters_read_only():
+    spec = GeneratorSpec("entangled", {"K": 3.0, "level": 1}, seed=4, n=10)
+    with pytest.raises(TypeError):
+        spec.params["K"] = 2.5  # once built in numpy's AxisError, past every check
+    with pytest.raises(TypeError):
+        del spec.params["level"]
+    for back in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert back == spec and back.params == {"K": 3, "level": 1.0} and back.label() == spec.label()
+        with pytest.raises(TypeError):
+            back.params["K"] = 2
+    assert np.array_equal(synth.dataset_from_spec(back)[0].latents, synth.dataset_from_spec(spec)[0].latents)
+
+
+def test_every_parameter_of_every_generator_has_a_range():
+    for name, (defaults, _) in synth.GENERATORS.items():
+        assert list(synth.PARAM_RANGES.get(name, {})) == list(defaults), name
+    assert set(synth.PARAM_RANGES) <= set(synth.GENERATORS)
 
 
 def test_build_rejects_an_unknown_generator():
