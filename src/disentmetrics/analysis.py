@@ -13,6 +13,7 @@ from .core import (
     RepresentationDataset,
     UsageError,
     _LOAD_BYTES_PER_US,
+    _as_array,
     _in_blocks,
     _json_text,
     _jsonify,
@@ -24,7 +25,6 @@ from . import synth
 
 def _average_ranks(x):
     """Fractional ranks: tied values share the mean of their positions."""
-    x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ranks = np.empty(x.size)
@@ -35,12 +35,8 @@ def _average_ranks(x):
 
 def spearman(a, b):
     """Pearson correlation of the fractional-rank vectors of a and b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 2:
-        raise UsageError("sequences must be 1-d and share a length >= 2")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise UsageError("sequences must be finite")
+    a = _as_array("a", a, (None,), least=2, finite=True)
+    b = _as_array("b", b, (a.size,), finite=True)
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise NotComputableError("rank correlation is undefined for a constant sequence")
     ra = _average_ranks(a)

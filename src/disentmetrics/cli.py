@@ -175,7 +175,7 @@ def cmd_sweep(args):
 
 def cmd_correlate(args):
     # a negative count gives no representation, which correlate_metrics refuses
-    levels = np.linspace(0.0, 1.0, max(args.count, 0))
+    levels = np.linspace(0.0, 1.0, _in_range("--count", max(args.count, 0), 0, count=True))
     specs = [
         synth.GeneratorSpec("entangled", {"level": float(lv), "K": args.factors},
                             seed=args.seed + i, n=args.n)

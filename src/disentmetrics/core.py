@@ -86,16 +86,45 @@ class UsageError(MetricsError, ValueError):
     """An input the call does not accept; a ValueError too, so callers catching ValueError still do."""
 
 
-def _in_range(name, value, low, high=None, whole=False):
-    """``value`` if it is an integer (``whole``) or a finite number, at least ``low`` and, unless
-    ``high`` is None, at most ``high``; UsageError naming ``name`` otherwise."""
+_MAX_COUNT = np.iinfo(np.intp).max  # the largest count (size, length, rows) numpy can index
+
+
+def _in_range(name, value, low, high=None, whole=False, count=False):
+    """``value`` if it is an integer (``whole``, or a ``count`` up to :data:`_MAX_COUNT`) or a finite
+    number, at least ``low`` and, unless ``high`` is None, at most ``high``; else UsageError naming ``name``."""
+    whole = whole or count
     if not (isinstance(value, numbers.Integral) if whole else
             isinstance(value, numbers.Real) and math.isfinite(value)):
         raise UsageError(f"{name} must be {'an integer' if whole else 'a finite number'}, got {value!r}")
     if value < low or high is not None and value > high:
         bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
         raise UsageError(f"{name} must {bound}, got {value!r}")
+    if count and value > _MAX_COUNT:
+        raise UsageError(f"{name} must be at most {_MAX_COUNT}, got {value!r}")
     return value
+
+
+def _as_array(name, value, shape, least=0, dtype=np.float64, finite=False, promote=False,
+              copy=False, order="K", fault=UsageError):
+    """``value`` as an ndarray of ``dtype`` (None: its own), new if ``copy``, with one axis per entry of
+    ``shape``: its length, or None for any (the first at least ``least``). ``promote`` prefixes missing
+    axes of length 1, as ``np.atleast_2d``; ``finite`` refuses NaN and infinities. Any other value,
+    numpy's conversion faults included, raises ``fault(message)``, the message naming ``name``."""
+    try:
+        arr = (np.array if copy else np.asarray)(value, dtype=dtype, order=order)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise fault(f"{name} must be an array{'' if dtype is None else ' of numbers'}: {exc}") from None
+    got = arr.shape
+    if promote and arr.ndim < len(shape):
+        arr = arr.reshape((1,) * (len(shape) - arr.ndim) + got)
+    if arr.ndim != len(shape) or arr.shape[0] < least or any(
+            want is not None and want != length for want, length in zip(shape, arr.shape)):
+        axes = ", ".join("nm"[i] if want is None else str(want) for i, want in enumerate(shape))
+        raise fault(f"{name} must be {len(shape)}-d of shape ({axes}{',' * (len(shape) == 1)})"
+                    f"{f' with n >= {least}' if least else ''}, got {got}")
+    if finite and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN reaches both
+        raise fault(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    return arr
 
 
 def _default_names(prefix, count):
@@ -103,8 +132,7 @@ def _default_names(prefix, count):
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _freeze(a, order="K", copy=True):
-    arr = (np.array if copy else np.asarray)(a, dtype=np.float64, order=order)
+def _freeze(arr):
     arr.setflags(write=False)
     return arr
 
@@ -130,9 +158,8 @@ class RepresentationDataset:
     cardinalities: tuple = None
 
     def __post_init__(self, copy=True):
-        factors, latents = _freeze(self.factors, "C", copy), _freeze(self.latents, "C", copy)
-        if factors.ndim != 2 or latents.ndim != 2:
-            raise UsageError("factors and latents must be 2-d (rows, columns) arrays")
+        factors, latents = (_freeze(_as_array(name, getattr(self, name), (None, None), copy=copy, order="C"))
+                            for name in ("factors", "latents"))
         k, m = factors.shape[1], latents.shape[1]
         # a group with no columns gets the other's rows: only two groups with columns can differ
         object.__setattr__(self, "factors", factors if k else _freeze(np.empty((latents.shape[0], 0))))
@@ -612,12 +639,8 @@ class InformativenessMatrix:
     factor_entropies: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        h = np.atleast_1d(np.asarray(self.factor_entropies, dtype=np.float64))
-        if v.ndim != 2 or h.ndim != 1 or v.shape[1] != h.size:
-            raise UsageError("matrix must be (N, K) with K factor entropies")
-        if not np.isfinite(v).all() or not np.isfinite(h).all():
-            raise UsageError("non-finite entries")
+        v = _as_array("values", self.values, (None, None), finite=True, promote=True, copy=True)
+        h = _as_array("factor_entropies", self.factor_entropies, (v.shape[1],), finite=True, promote=True, copy=True)
         if (v < 0).any():
             raise UsageError("negative informativeness entry")
         if (h < 0).any():  # a zero entropy stays: MIG skips that factor
@@ -673,7 +696,7 @@ def load_matrix(path):
             raise ParseError(f"matrix line {number} has a non-finite entry")
         if (row < 0).any():
             raise ParseError(f"matrix line {number} has a negative entry")
-    return InformativenessMatrix(np.array(rows[1:]), np.array(rows[0]))
+    return InformativenessMatrix(rows[1:], rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +718,8 @@ class RepresentationOracle:
 
     def __init__(self, n_factors, n_latents, factor_sampler, encoder, seed=DEFAULT_SEED):
         """``n_factors`` and ``n_latents`` must be integers >= 1 (UsageError naming the field)."""
-        self.n_factors = int(_in_range("n_factors", n_factors, 1, whole=True))
-        self.n_latents = int(_in_range("n_latents", n_latents, 1, whole=True))
-        self._factor_names = _default_names("z", self.n_factors)
+        self.n_factors = int(_in_range("n_factors", n_factors, 1, count=True))
+        self.n_latents = int(_in_range("n_latents", n_latents, 1, count=True))
         self._latent_names = _default_names("c", self.n_latents)
         self._factor_sampler = factor_sampler
         self._encoder = encoder
@@ -711,15 +733,17 @@ class RepresentationOracle:
         return oracle
 
     def sample_factors(self, n):
-        """n factor rows, (n, K), from the factor marginals; any other shape raises
-        :class:`ValidationError`, and an ``n`` that is not an integer >= 0 UsageError."""
-        n = int(_in_range("n", n, 0, whole=True))
-        return _shaped(self._factor_sampler(self._rng, n), n, self._factor_names, "factor sampler")
+        """n factor rows, (n, K) float64, from the factor marginals; a sampler result of another shape
+        or not numbers raises :class:`ValidationError`, and an ``n`` that is no count UsageError."""
+        n = int(_in_range("n", n, 0, count=True))
+        return _as_array("factor sampler output", self._factor_sampler(self._rng, n), (n, self.n_factors),
+                         fault=_output_fault)
 
     def encode(self, z):
-        """The encoder's latents for factor rows z, (len(z), N); any other shape or a non-finite
-        latent raises :class:`ValidationError`."""
-        c = _shaped(self._encoder(self._rng, z), len(z), self._latent_names, "encoder")
+        """The encoder's latents for (rows, K) factor rows z, (rows, N) float64; an encoder result of
+        another shape, not numbers or with a non-finite latent raises :class:`ValidationError`."""
+        z = _as_array("z", z, (None, self.n_factors))
+        c = _as_array("encoder output", self._encoder(self._rng, z), (len(z), self.n_latents), fault=_output_fault)
         if issues := _non_finite(self._latent_names, c):
             raise ValidationError(issues)
         return c
@@ -739,16 +763,9 @@ class RepresentationOracle:
         return RepresentationDataset(*self.sample(n))
 
 
-def _shaped(values, rows, names, source):
-    """``values`` if it has ``rows`` rows and one column per name, else :class:`ValidationError`:
-    a length mismatch for each column if only the rows differ."""
-    shape = np.shape(values)
-    if len(shape) != 2 or shape[1] != len(names):
-        raise ValidationError([ValidationIssue(None, None, f"{source} returned shape {shape}, "
-                                                           f"expected ({rows}, {len(names)})")])
-    if shape[0] != rows:
-        raise ValidationError([ValidationIssue(name, None, "length mismatch") for name in names])
-    return values
+def _output_fault(message):
+    """The error of a sampler or encoder result that :func:`_as_array` refuses: the oracle's callable is at fault."""
+    return ValidationError([ValidationIssue(None, None, message)])
 
 
 # ---------------------------------------------------------------------------

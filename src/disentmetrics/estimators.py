@@ -22,6 +22,7 @@ from .core import (
     InformativenessMatrix,
     NotComputableError,
     UsageError,
+    _as_array,
     _in_blocks,
     _in_range,
 )
@@ -50,7 +51,7 @@ class BinningSpec:
     def __post_init__(self):
         if self.strategy not in BIN_STRATEGIES:
             raise UsageError(f"unknown binning strategy {self.strategy!r}")
-        _in_range("bin_count", self.bin_count, 2, whole=True)
+        _in_range("bin_count", self.bin_count, 2, count=True)
 
 
 def discretize(values, spec=BinningSpec()):
@@ -63,11 +64,7 @@ def discretize(values, spec=BinningSpec()):
     the input. Equal-width binning splits [min, max] uniformly. Constant
     input maps everything to bin 0.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise UsageError("values must be a non-empty 1-d sequence")
-    if not np.isfinite(v).all():
-        raise UsageError("values must be finite")
+    v = _as_array("values", values, (None,), least=1, finite=True)
     if v.min() == v.max():
         return np.zeros(v.size, dtype=np.int64)
     if spec.strategy == "quantile":
@@ -113,10 +110,7 @@ def _mutual_information(a, b):
 
 def entropy(labels):
     """Plug-in entropy -sum p ln p (nats) over observed labels."""
-    a = np.asarray(labels)
-    if a.ndim != 1 or a.size == 0:
-        raise UsageError("labels must be a non-empty 1-d sequence")
-    return _entropy(*_coded(a))
+    return _entropy(*_coded(_as_array("labels", labels, (None,), least=1, dtype=None)))
 
 
 def mutual_information(a, b):
@@ -124,20 +118,15 @@ def mutual_information(a, b):
 
     Symmetric, and clamped at 0 against tiny negative floating error.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise UsageError("label sequences must be 1-d and of equal length")
-    if a.size == 0:
-        raise UsageError("label sequences must be non-empty")
-    return _mutual_information(_coded(a), _coded(b))
+    a = _as_array("a", a, (None,), least=1, dtype=None)
+    return _mutual_information(_coded(a), _coded(_as_array("b", b, (a.size,), dtype=None)))
 
 
 def encode_factor(values, cardinality, spec=BinningSpec()):
     """Labels for a factor column: native labels for a discrete factor of
     at most ``spec.bin_count`` values, otherwise discretized per the spec."""
     if cardinality is not None and cardinality <= spec.bin_count:
-        return values.astype(np.int64)
+        return _as_array("values", values, (None,), dtype=np.int64)
     return discretize(values, spec)
 
 
@@ -169,13 +158,8 @@ def linear_regression_r2(x, y):
 
     Constant x (or constant y) carries no linear signal and returns 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size < 2:
-        raise UsageError("x and y must be 1-d and share a length >= 2")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise UsageError("x and y must be finite")
-    return centred_r2(centred(x), centred(y))
+    x = _as_array("x", x, (None,), least=2, finite=True)
+    return centred_r2(centred(x), centred(_as_array("y", y, (x.size,), finite=True)))
 
 
 def centred(v):
@@ -197,8 +181,8 @@ def centred_r2(a, b):
 def stump_accuracy(x, labels):
     """Best single-threshold classification accuracy of labels from x,
     rescaled to [0, 1] from the majority-class baseline."""
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.int64)
+    x = _as_array("x", x, (None,), least=1)
+    labels = _as_array("labels", labels, (x.size,), dtype=np.int64)
     n = x.size
     classes, y = np.unique(labels, return_inverse=True)
     counts = np.bincount(y)
@@ -232,7 +216,7 @@ class ClassifierConfig:
 
     def __post_init__(self):
         _in_range("learning_rate", self.learning_rate, 0)
-        _in_range("epochs", self.epochs, 1, whole=True)
+        _in_range("epochs", self.epochs, 1, count=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +226,15 @@ class LinearClassifier:
     weights: np.ndarray
 
     def decision(self, points):
-        x = np.asarray(points, dtype=np.float64)
+        x = _as_array("points", points, (None, self.weights.shape[1] - 1))
         return x @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def predict(self, points):
         return np.argmax(self.decision(points), axis=1)
 
     def accuracy(self, points, labels):
-        return float(np.mean(self.predict(points) == np.asarray(labels)))
+        points = _as_array("points", points, (None, self.weights.shape[1] - 1), least=1)
+        return float(np.mean(self.predict(points) == _as_array("labels", labels, points.shape[:1])))
 
 
 def fit_linear_classifier(points, labels, config=ClassifierConfig()):
@@ -257,13 +242,9 @@ def fit_linear_classifier(points, labels, config=ClassifierConfig()):
 
     Zero-initialized, so fully deterministic for a fixed config.
     """
-    x = np.asarray(points, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != y.size:
-        raise UsageError("points must be (n, D) with one label per row")
-    if not np.isfinite(x).all():
-        raise UsageError("points must be finite")
-    if y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all():
+    x = _as_array("points", points, (None, None), finite=True)
+    y = _as_array("labels", labels, x.shape[:1])
+    if not (np.isfinite(y) & (y == np.trunc(y))).all():
         raise UsageError("labels must be integers")
     y = y.astype(np.int64)
     if (y < 0).any():
@@ -309,26 +290,28 @@ class MajorityVoteTable:
         return np.argmax(self.votes, axis=1)
 
     def accuracy(self, pairs):
-        pairs = np.asarray(pairs, dtype=np.int64)
+        pairs = _vote_pairs(pairs, *self.votes.shape)
         return float(np.mean(self.predictions[pairs[:, 0]] == pairs[:, 1]))
 
 
-def majority_vote(pairs, n_latents, n_factors):
-    """Tally (latent_index, factor_index) training pairs into a vote table."""
-    pairs = np.asarray(pairs)
-    if pairs.size == 0:
-        raise UsageError("majority_vote needs at least one training pair")
-    pairs = pairs.reshape(-1, 2)
-    if pairs.dtype.kind == "f":
-        fractional = ~(np.isfinite(pairs) & (pairs == np.trunc(pairs))).all(axis=1)
-        if fractional.any():
-            latent, factor = pairs[fractional.argmax()].tolist()
-            raise UsageError(f"pair (latent {latent}, factor {factor}) is not a pair of whole numbers")
+def _vote_pairs(pairs, n_latents, n_factors):
+    """``pairs`` (one pair, or (n, 2)) as int64 (latent, factor) pairs of whole numbers inside the
+    ``n_latents`` x ``n_factors`` vote table; UsageError naming the first pair that is not."""
+    pairs = _as_array("pairs", pairs, (None, 2), least=1, promote=True)
+    fractional = ~(np.isfinite(pairs) & (pairs == np.trunc(pairs))).all(axis=1)
+    if fractional.any():
+        latent, factor = pairs[fractional.argmax()].tolist()
+        raise UsageError(f"pair (latent {latent}, factor {factor}) is not a pair of whole numbers")
     outside = (pairs < 0).any(axis=1) | (pairs[:, 0] >= n_latents) | (pairs[:, 1] >= n_factors)
     if outside.any():
         latent, factor = (int(v) for v in pairs[outside.argmax()])
         raise UsageError(f"pair (latent {latent}, factor {factor}) lies outside the {n_latents} x {n_factors} vote table")
-    pairs = pairs.astype(np.int64, copy=False)
+    return pairs.astype(np.int64)
+
+
+def majority_vote(pairs, n_latents, n_factors):
+    """Tally (latent_index, factor_index) training pairs into a vote table."""
+    pairs = _vote_pairs(pairs, n_latents, n_factors)
     votes = np.zeros((n_latents, n_factors), dtype=np.int64)
     np.add.at(votes, (pairs[:, 0], pairs[:, 1]), 1)
     return MajorityVoteTable(votes)
@@ -348,7 +331,7 @@ class ForestConfig:
 
     def __post_init__(self):
         for name, low in (("n_trees", 1), ("max_depth", 1), ("seed", 0)):
-            _in_range(name, getattr(self, name), low, whole=True)
+            _in_range(name, getattr(self, name), low, whole=True, count=name != "seed")  # a seed has no bound above
         if _in_range("bag_fraction", self.bag_fraction, 0, 1) == 0:  # a bag of no rows
             raise UsageError(f"bag_fraction must be above 0, got {self.bag_fraction!r}")
 

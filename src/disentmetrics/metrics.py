@@ -22,6 +22,7 @@ from .core import (
     RepresentationDataset,
     RepresentationOracle,
     UsageError,
+    _as_array,
     _in_blocks,
     _in_range,
 )
@@ -46,7 +47,7 @@ class InterventionConfig:
 
     def __post_init__(self):
         for name, low in (("train_points", 1), ("eval_points", 1), ("batch_size", 2), ("seed", 0)):
-            _in_range(name, getattr(self, name), low, whole=True)
+            _in_range(name, getattr(self, name), low, whole=True, count=name != "seed")  # a seed has no bound above
 
 
 def _spawn_seeds(seed, count, domain=0):
@@ -245,15 +246,15 @@ def factor_vae_score(oracle, config=InterventionConfig()):
 def dci_score(importances):
     """Importance-weighted sum of per-latent disentanglement scores.
 
-    ``importances`` is an (N, K) array-like of finite, non-negative
-    entries (:class:`NotComputableError` otherwise). Each latent's
+    ``importances`` is an (N, K) array-like (a 1-d one is one row) of finite,
+    non-negative entries (:class:`NotComputableError` otherwise). Each latent's
     importance row is normalized to a distribution over factors; its score
     is one minus the base-K entropy of that distribution, and rows are
     weighted by their share of total importance. Rows with zero total
     importance contribute nothing.
     """
-    p = np.atleast_2d(np.asarray(importances, dtype=np.float64))
-    if p.ndim != 2 or not np.isfinite(p).all() or (p < 0).any():
+    p = _as_array("importances", importances, (None, None), promote=True)
+    if not np.isfinite(p).all() or (p < 0).any():
         raise NotComputableError("importances must be an (N, K) matrix of finite, non-negative entries")
     n_latents, n_factors = p.shape
     row_sums = p.sum(axis=1)

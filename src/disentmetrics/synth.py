@@ -233,7 +233,7 @@ def gen_comparison_matrices(case):
     """
     if case not in _COMPARISON_PAIRS:
         raise UsageError(f"unknown comparison case {case!r} (known: {', '.join(COMPARISON_CASES)})")
-    return tuple(InformativenessMatrix(np.array(values), np.ones(2)) for values in _COMPARISON_PAIRS[case])
+    return tuple(InformativenessMatrix(values, np.ones(2)) for values in _COMPARISON_PAIRS[case])
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,8 @@ def _param(name, key, value):
     if kind is not float and isinstance(value, float) and value.is_integer():
         value = int(value)
     low, high = {"n": (1, None), "seed": (0, None), **PARAM_RANGES.get(name, {})}[key]
-    return kind(_in_range(f"{name} parameter {key}", value, low, high, whole=kind is not float))
+    whole = kind is not float
+    return kind(_in_range(f"{name} parameter {key}", value, low, high, whole=whole, count=whole and key != "seed"))
 
 
 # name -> (every parameter the generator reads, with its default;

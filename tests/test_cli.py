@@ -399,6 +399,22 @@ def test_correlate_leaves_the_population_size_check_to_the_library(capsys, count
     assert (code, out, err) == (1, "", "error: need at least 5 representations\n")
 
 
+_PAST_INDEX = "100000000000000000000"  # 10**20: past numpy's index range on every platform
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["correlate", "--count", _PAST_INDEX], "--count"),
+    (["eval", "--oracle", "identity", "--bins", _PAST_INDEX], "bin_count"),
+    (["eval", "--oracle", "identity", "--metrics", "betavae", "--train-points", _PAST_INDEX], "train_points"),
+    (["gen", "--spec", "identity", "--n", _PAST_INDEX], "identity parameter n"),
+])
+def test_a_size_past_numpys_index_range_is_refused_by_name(tmp_path, capsys, argv, name):
+    # each check runs before the command builds an array: numpy would refuse the size with its own ValueError
+    code, out, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert (code, out, err) == (1, "", f"error: {name} must be at most {np.iinfo(np.intp).max}, got {_PAST_INDEX}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_builtin(capsys):
     code, out, _ = run(["compare", "--builtin", "mig-vs-3charm", "--metrics", "mig,3charm"], capsys)
     assert code == 0

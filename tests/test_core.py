@@ -726,8 +726,6 @@ def _nan_row_3(rng, n):
 
 @pytest.mark.parametrize("n, sampler, encoder, shown", [
     (0, lambda rng, n: rng.random((n, 2)), lambda rng, z: z.copy(), "empty column [column z1]"),
-    (4, lambda rng, n: rng.random((n, 2)), lambda rng, z: z[:-1].copy(),
-     "length mismatch [column c1]; length mismatch [column c2]"),
     (4, _nan_row_3, lambda rng, z: np.zeros_like(z),
      "non-finite value [column z1, row 3]; non-finite value [column z2, row 3]"),
 ])
@@ -917,6 +915,82 @@ def test_every_input_fault_is_a_usage_error():
                             getattr(node.exc, "id", None), getattr(getattr(node.exc, "func", None), "id", None)):
                         raised[function.name] = raised.get(function.name, 0) + 1
     assert raised == _INTERNAL_VALUE_ERRORS
+
+
+def test_a_count_past_numpys_index_range_is_refused_by_name():
+    top = np.iinfo(np.intp).max
+    assert core._in_range("v", top, 0, count=True) == top
+    with pytest.raises(core.UsageError, match=f"^v must be at most {top}, got {top + 1}$"):
+        core._in_range("v", top + 1, 0, count=True)
+    with pytest.raises(core.UsageError, match=r"^v must be an integer, got 2\.0$"):
+        core._in_range("v", 2.0, 0, count=True)
+    assert core._in_range("v", 10**20, 0, whole=True) == 10**20  # a seed is whole, not a count: no bound
+
+
+_NOT_A_FLOAT = re.escape("must be an array of numbers: could not convert string to float: 'a'")
+_RAGGED = "must be an array( of numbers)?: setting an array element with a sequence"
+_RAGGED_ROWS = [[1.0, 2.0], [3.0]]
+
+
+def _oracle(sampler=lambda rng, n: rng.random((n, 2)), encoder=lambda rng, z: z.copy()):
+    return RepresentationOracle(2, 2, sampler, encoder)
+
+
+# each input that leaked a numpy error through a public entry point, and the error it raises now
+_ARRAY_FAULTS = {
+    "dci_score string": (lambda: metrics.dci_score("a"), core.UsageError, f"^importances {_NOT_A_FLOAT}$"),
+    "dci_score ragged": (lambda: metrics.dci_score(_RAGGED_ROWS), core.UsageError, f"^importances {_RAGGED}"),
+    "spearman string": (lambda: analysis.spearman("a", [1, 2]), core.UsageError, f"^a {_NOT_A_FLOAT}$"),
+    "discretize string": (lambda: estimators.discretize("a"), core.UsageError, f"^values {_NOT_A_FLOAT}$"),
+    "discretize ragged": (lambda: estimators.discretize(_RAGGED_ROWS), core.UsageError, f"^values {_RAGGED}"),
+    "linear_regression_r2 string": (lambda: estimators.linear_regression_r2("a", [1, 2]), core.UsageError,
+                                    f"^x {_NOT_A_FLOAT}$"),
+    "entropy ragged": (lambda: estimators.entropy(_RAGGED_ROWS), core.UsageError, f"^labels {_RAGGED}"),
+    "mutual_information ragged": (lambda: estimators.mutual_information(_RAGGED_ROWS, [0, 1]), core.UsageError,
+                                  f"^a {_RAGGED}"),
+    "fit_linear_classifier string": (lambda: estimators.fit_linear_classifier("a", [0, 1]), core.UsageError,
+                                     f"^points {_NOT_A_FLOAT}$"),
+    "majority_vote strings": (lambda: estimators.majority_vote([["a", "b"]], 2, 2), core.UsageError,
+                              f"^pairs {_NOT_A_FLOAT}$"),
+    "stump_accuracy string": (lambda: estimators.stump_accuracy("a", [0, 1]), core.UsageError, f"^x {_NOT_A_FLOAT}$"),
+    "stump_accuracy lengths 3 and 2": (lambda: estimators.stump_accuracy([1.0, 2.0, 3.0], [0, 1]), core.UsageError,
+                                       re.escape("labels must be 1-d of shape (3,), got (2,)")),
+    "stump_accuracy 2-d x": (lambda: estimators.stump_accuracy([[1.0, 2.0], [3.0, 4.0]], [0, 1]), core.UsageError,
+                             re.escape("x must be 1-d of shape (n,) with n >= 1, got (2, 2)")),
+    "RepresentationDataset string": (lambda: RepresentationDataset([["a"]], [[1.0]]), core.UsageError,
+                                     f"^factors {_NOT_A_FLOAT}$"),
+    "RepresentationDataset ragged": (lambda: RepresentationDataset([[1.0]], _RAGGED_ROWS), core.UsageError,
+                                     f"^latents {_RAGGED}"),
+    "InformativenessMatrix string": (lambda: InformativenessMatrix([["a"]], [1.0]), core.UsageError,
+                                     f"^values {_NOT_A_FLOAT}$"),
+    "encoder of strings": (lambda: _oracle(encoder=lambda rng, z: np.full(z.shape, "a")).sample(3),
+                           ValidationError, r"^encoder output must be an array of numbers: could not convert string"),
+    "ragged sampler": (lambda: _oracle(sampler=lambda rng, n: _RAGGED_ROWS).sample(2), ValidationError,
+                       f"^factor sampler output {_RAGGED}"),
+    "LinearClassifier.accuracy lengths 2 and 1": (
+        lambda: estimators.LinearClassifier(np.zeros((2, 2))).accuracy([[1.0], [2.0]], [0]), core.UsageError,
+        re.escape("labels must be 1-d of shape (2,), got (1,)")),
+    "LinearClassifier.predict string": (lambda: estimators.LinearClassifier(np.zeros((2, 2))).predict([["a"]]),
+                                        core.UsageError, f"^points {_NOT_A_FLOAT}$"),
+    "MajorityVoteTable.accuracy outside the table": (
+        lambda: estimators.majority_vote([[0, 1]], 2, 2).accuracy([[5, 0]]), core.UsageError,
+        re.escape("pair (latent 5, factor 0) lies outside the 2 x 2 vote table")),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_FAULTS))
+def test_an_array_fault_names_its_argument(case):
+    call, error, shown = _ARRAY_FAULTS[case]
+    with pytest.raises(error, match=shown):
+        call()
+
+
+def test_an_oracle_output_given_as_a_list_converts_as_an_array():
+    expected = _oracle().sample(4)
+    for oracle in (_oracle(sampler=lambda rng, n: rng.random((n, 2)).tolist()),
+                   _oracle(encoder=lambda rng, z: z.tolist())):
+        for got, want in zip(oracle.sample(4), expected):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_oracle_sample_factors_needs_a_whole_count_of_at_least_zero():

@@ -68,7 +68,10 @@ def test_dci_single_factor():
 
 @pytest.mark.parametrize("bad", [[[np.nan, 1.0]], [[np.inf, 1.0]], [[-1.0, 1.0]], [[-1.0, 0.0]], np.ones((2, 2, 2))])
 def test_dci_score_rejects_non_finite_negative_or_misshapen_importances(bad):
-    with pytest.raises(NotComputableError, match="finite, non-negative"):
+    # the array gate refuses a misshapen array by name; DCI itself judges the entries
+    misshapen = (core.UsageError, r"^importances must be 2-d of shape \(n, m\), got \(2, 2, 2\)$")
+    error, shown = misshapen if np.ndim(bad) > 2 else (NotComputableError, "finite, non-negative")
+    with pytest.raises(error, match=shown):
         dci_score(bad)
 
 
@@ -680,11 +683,11 @@ def test_a_report_scored_with_a_numpy_seed_writes_the_seed_as_a_json_integer():
 # an oracle whose sampler or encoder returns the wrong shape: each metric names it, whatever it scores
 _SHAPE_FAULTS = {
     "wide sampler": (2, lambda rng, n: rng.random((n, 3)), lambda rng, z: z[:, :2].copy(),
-                     r"^factor sampler returned shape \(\d+, 3\), expected \(\d+, 2\)$"),
+                     r"^factor sampler output must be 2-d of shape \((\d+), 2\), got \(\1, 3\)$"),
     "short encoder": (2, lambda rng, n: rng.random((n, 2)), lambda rng, z: z[:-1].copy(),
-                      r"^length mismatch \[column c1\]; length mismatch \[column c2\]$"),
+                      r"^encoder output must be 2-d of shape \(\d+, 2\), got \(\d+, 2\)$"),
     "narrow encoder": (5, lambda rng, n: rng.random((n, 2)), lambda rng, z: np.hstack([z, z[:, :1]]),
-                       r"^encoder returned shape \(\d+, 3\), expected \(\d+, 5\)$"),
+                       r"^encoder output must be 2-d of shape \((\d+), 5\), got \(\1, 3\)$"),
 }
 
 
@@ -696,8 +699,9 @@ def test_an_oracle_metric_raises_for_a_sampler_or_encoder_of_the_wrong_shape(fau
     for score in (beta_vae_score, factor_vae_score):
         with pytest.raises(ValidationError, match=shown):
             score(oracle, config)
-    with pytest.raises(ValidationError, match=shown):
-        oracle.sample(5)
+    for sample in (oracle.sample, oracle.sample_dataset):
+        with pytest.raises(ValidationError, match=shown):
+            sample(5)
 
 
 def test_evaluate_all_rejects_non_finite_oracle_latent():

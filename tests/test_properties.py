@@ -23,10 +23,15 @@ from disentmetrics.core import (
 )
 from disentmetrics.estimators import (
     BinningSpec,
+    ClassifierConfig,
+    LinearClassifier,
     discretize,
     entropy,
+    fit_linear_classifier,
+    linear_regression_r2,
     majority_vote,
     mutual_information,
+    stump_accuracy,
 )
 from disentmetrics.metrics import (
     DATASET_METRICS,
@@ -39,6 +44,7 @@ from disentmetrics.metrics import (
     sap_score,
     three_charm_score,
 )
+from test_core import _oracle
 
 label_pairs = st.integers(min_value=1, max_value=150).flatmap(
     lambda n: st.tuples(
@@ -404,3 +410,57 @@ def test_extreme_scales_score_or_raise_typed_without_warnings(dataset, scale, gr
             return
     for report in reports:
         assert report.skipped or 0.0 <= report.score <= 1.0
+
+
+# what a caller might hand an array argument by mistake: text, None, a dict, ragged or
+# rectangular nested lists, and arrays of every small shape (wrong ndim or length)
+_junk = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.lists(st.one_of(st.floats(-10, 10), st.just(math.nan), st.text(max_size=1)), max_size=3),
+             max_size=3),
+    st.lists(st.integers(0, 3), max_size=3).map(lambda shape: np.ones(shape)),
+)
+
+
+_labels = [0, 1, 1]
+_classifier = LinearClassifier(np.zeros((2, 3)))
+# every entry point that takes a caller's array, each with the junk in one argument
+_GATED = {
+    "RepresentationDataset factors": lambda j: RepresentationDataset(j, np.ones((3, 2))),
+    "RepresentationDataset latents": lambda j: RepresentationDataset(np.ones((3, 2)), j),
+    "InformativenessMatrix values": lambda j: InformativenessMatrix(j, np.ones(2)),
+    "InformativenessMatrix factor_entropies": lambda j: InformativenessMatrix(np.ones((3, 2)), j),
+    "dci_score": dci_score,
+    "discretize": discretize,
+    "encode_factor": lambda j: estimators.encode_factor(j, 2),
+    "entropy": entropy,
+    "mutual_information a": lambda j: mutual_information(j, _labels),
+    "mutual_information b": lambda j: mutual_information(_labels, j),
+    "linear_regression_r2 x": lambda j: linear_regression_r2(j, [1.0, 2.0, 4.0]),
+    "linear_regression_r2 y": lambda j: linear_regression_r2([1.0, 2.0, 4.0], j),
+    "stump_accuracy x": lambda j: stump_accuracy(j, _labels),
+    "stump_accuracy labels": lambda j: stump_accuracy([1.0, 2.0, 4.0], j),
+    "fit_linear_classifier points": lambda j: fit_linear_classifier(j, _labels, ClassifierConfig(epochs=2)),
+    "fit_linear_classifier labels": lambda j: fit_linear_classifier(np.eye(3), j, ClassifierConfig(epochs=2)),
+    "LinearClassifier.predict": _classifier.predict,
+    "LinearClassifier.accuracy points": lambda j: _classifier.accuracy(j, _labels),
+    "LinearClassifier.accuracy labels": lambda j: _classifier.accuracy(np.eye(3, 2), j),
+    "majority_vote": lambda j: majority_vote(j, 2, 2),
+    "MajorityVoteTable.accuracy": lambda j: majority_vote([(0, 1)], 2, 2).accuracy(j),
+    "spearman a": lambda j: spearman(j, [1.0, 2.0, 4.0]),
+    "spearman b": lambda j: spearman([1.0, 2.0, 4.0], j),
+    "RepresentationOracle.encode": lambda j: _oracle().encode(j),
+    "factor sampler output": lambda j: _oracle(sampler=lambda rng, n: j).sample(3),
+    "encoder output": lambda j: _oracle(encoder=lambda rng, z: j).sample(3),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(_GATED)), _junk)
+def test_junk_in_any_array_argument_scores_or_raises_a_metrics_error(entry, junk):
+    try:
+        _GATED[entry](junk)
+    except MetricsError:
+        pass
